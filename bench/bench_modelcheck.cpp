@@ -174,6 +174,45 @@ class AugWorld final : public ExplorableWorld {
   std::unique_ptr<AugmentedSnapshot> m_;
 };
 
+#ifndef REVISIM_BUILD_TYPE
+#define REVISIM_BUILD_TYPE "unknown"
+#endif
+#ifndef REVISIM_SOURCE_DIR
+#define REVISIM_SOURCE_DIR "."
+#endif
+
+// Where the rows were measured.  Wall clocks from different core counts,
+// build types or sources are not comparable, so every row records all
+// three.  `rev` is `git describe --always --dirty` of the source tree the
+// binary was built from ("unknown" outside a git checkout), taken once at
+// startup, before this run appends to BENCH_modelcheck.json.
+struct Provenance {
+  std::size_t nproc = std::max(1u, std::thread::hardware_concurrency());
+  std::string build_type = REVISIM_BUILD_TYPE;
+  std::string rev = "unknown";
+};
+
+const Provenance& provenance() {
+  static const Provenance p = [] {
+    Provenance out;
+    const std::string cmd = "git -C '" + std::string(REVISIM_SOURCE_DIR) +
+                            "' describe --always --dirty 2>/dev/null";
+    if (std::FILE* pipe = popen(cmd.c_str(), "r")) {
+      char buf[128] = {};
+      if (std::fgets(buf, sizeof buf, pipe) != nullptr) {
+        std::string rev(buf);
+        rev.erase(rev.find_last_not_of(" \n") + 1);
+        if (!rev.empty()) {
+          out.rev = rev;
+        }
+      }
+      pclose(pipe);
+    }
+    return out;
+  }();
+  return p;
+}
+
 struct Measured {
   ScheduleExploreResult result;
   double seconds = 0;
@@ -246,6 +285,9 @@ bool run_instance(const std::string& name,
         "BENCH_modelcheck.json", "modelcheck-scaling",
         {{"instance", name},
          {"config", config},
+         {"nproc", provenance().nproc},
+         {"build_type", provenance().build_type},
+         {"rev", provenance().rev},
          {"threads", threads},
          {"dedupe", dedupe},
          {"por", por},
@@ -437,6 +479,9 @@ bool run_crash_instance(const std::string& world, bool expect_violation) {
       benchutil::json_line("BENCH_modelcheck.json", "modelcheck-crash",
                            {{"world", world},
                             {"config", config},
+                            {"nproc", provenance().nproc},
+                            {"build_type", provenance().build_type},
+                            {"rev", provenance().rev},
                             {"threads", threads},
                             {"max_crashes", crashes},
                             {"por", por},
@@ -480,8 +525,9 @@ int main(int argc, char** argv) {
       "E13: model-checker throughput (fast path + work-stealing parallel)",
       "identical results across trace mode, warm-pool size and thread "
       "count; fast mode and parallelism only change wall-clock");
-  std::printf("\n  hardware threads: %u\n",
-              std::thread::hardware_concurrency());
+  std::printf("\n  hardware threads: %zu, build: %s, rev: %s\n",
+              provenance().nproc, provenance().build_type.c_str(),
+              provenance().rev.c_str());
 
   bool ok = true;
   if (wanted("register-script-554")) {

@@ -340,7 +340,7 @@ int run_dist_explore(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--shards")) {
       opt.fp_shards = std::strtoull(next("--shards"), nullptr, 10);
     } else if (!std::strcmp(argv[i], "--probe-interval")) {
-      opt.base.dist_probe_interval =
+      opt.base.probe_interval =
           std::strtoull(next("--probe-interval"), nullptr, 10);
     } else if (!std::strcmp(argv[i], "--fp-batch")) {
       opt.fp_batch = static_cast<std::uint32_t>(

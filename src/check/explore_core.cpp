@@ -555,4 +555,35 @@ SubtreeResult explore_subtree(
   return explore_job(factory, prefix, options, abort, nullptr);
 }
 
+SubtreeOptions subtree_options(const ScheduleExploreOptions& options) {
+  SubtreeOptions sub;
+  sub.max_steps = options.max_steps;
+  sub.max_executions = options.max_executions;
+  sub.record_traces = options.record_traces;
+  sub.warm_worlds = options.warm_worlds;
+  sub.max_crashes = options.max_crashes;
+  sub.dedupe_states = options.dedupe_states;
+  sub.dedupe_audit = options.dedupe_audit;
+  sub.dedupe_adaptive = options.dedupe_adaptive;
+  sub.por = options.por;
+  return sub;
+}
+
+ScheduleExploreResult to_explore_result(SubtreeResult&& sr) {
+  ScheduleExploreResult res;
+  res.executions = sr.executions;
+  res.exhausted = sr.fully_explored;
+  res.violation = std::move(sr.violation);
+  res.witness = std::move(sr.witness);
+  res.states_seen = sr.states_seen;
+  res.subtrees_pruned = sr.subtrees_pruned;
+  res.jobs = 1;
+  res.replay_steps_saved = sr.replay_steps_saved;
+  res.por_skipped = sr.por_skipped;
+  res.dependent_wakeups = sr.dependent_wakeups;
+  res.footprint_bytes = sr.footprint_bytes;
+  res.dedupe_disabled_adaptively = sr.dedupe_disabled;
+  return res;
+}
+
 }  // namespace revisim::check::detail

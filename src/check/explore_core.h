@@ -245,6 +245,17 @@ struct SubtreeResult {
   bool dedupe_disabled = false;
 };
 
+// The one mapping from the public options to the engine's: every field the
+// engine shares with ScheduleExploreOptions is copied, and the per-job
+// fields (`table`, `live_executions`) stay null.  Callers that run a job
+// under a tighter cap overwrite `max_executions` afterwards.
+SubtreeOptions subtree_options(const ScheduleExploreOptions& options);
+
+// A single job's walk as a whole-run summary: one job, no steals, the
+// engine's counters carried over.  Callers with a wall clock set
+// `timed_out` themselves.
+ScheduleExploreResult to_explore_result(SubtreeResult&& sr);
+
 // Polled between executions; returning true abandons the walk (the caller
 // decides whether the partial result is usable).  Used by the parallel
 // explorer to cancel subtrees that can no longer affect the merged outcome

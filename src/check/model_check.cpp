@@ -28,10 +28,10 @@ void validate(const ScheduleExploreOptions& options) {
     throw std::invalid_argument(
         "ScheduleExploreOptions: dedupe_adaptive requires dedupe_states");
   }
-  if (options.dist_probe_interval < 1) {
+  if (options.probe_interval < 1) {
     throw std::invalid_argument(
-        "ScheduleExploreOptions: dist_probe_interval must be >= 1 (a worker "
-        "that never pumps the control channel cannot hear aborts)");
+        "ScheduleExploreOptions: probe_interval must be >= 1 (a worker that "
+        "never runs its abort probe cannot hear aborts)");
   }
 }
 
@@ -39,32 +39,8 @@ ScheduleExploreResult explore_schedules(
     const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
     const ScheduleExploreOptions& options) {
   validate(options);
-  detail::SubtreeOptions sub;
-  sub.max_steps = options.max_steps;
-  sub.max_executions = options.max_executions;
-  sub.record_traces = options.record_traces;
-  sub.warm_worlds = options.warm_worlds;
-  sub.dedupe_states = options.dedupe_states;
-  sub.dedupe_audit = options.dedupe_audit;
-  sub.dedupe_adaptive = options.dedupe_adaptive;
-  sub.max_crashes = options.max_crashes;
-  sub.por = options.por;
-  auto sr = detail::explore_subtree(factory, {}, sub);
-
-  ScheduleExploreResult res;
-  res.executions = sr.executions;
-  res.exhausted = sr.fully_explored;
-  res.violation = std::move(sr.violation);
-  res.witness = std::move(sr.witness);
-  res.states_seen = sr.states_seen;
-  res.subtrees_pruned = sr.subtrees_pruned;
-  res.jobs = 1;
-  res.replay_steps_saved = sr.replay_steps_saved;
-  res.por_skipped = sr.por_skipped;
-  res.dependent_wakeups = sr.dependent_wakeups;
-  res.footprint_bytes = sr.footprint_bytes;
-  res.dedupe_disabled_adaptively = sr.dedupe_disabled;
-  return res;
+  return detail::to_explore_result(
+      detail::explore_subtree(factory, {}, detail::subtree_options(options)));
 }
 
 }  // namespace revisim::check

@@ -121,12 +121,16 @@ struct ScheduleExploreOptions {
   // distinct this recovers nearly the whole dedupe overhead; on workloads
   // that do transpose it never triggers.
   bool dedupe_adaptive = false;
-  // Distributed workers only: pump the control channel (abort probes,
-  // fingerprint verdicts) every N explored executions.  1 probes at every
-  // execution boundary - the cadence used by the wire bit-parity tests -
-  // at the cost of a poll syscall per execution.  Ignored by the serial
-  // and in-process parallel explorers.
-  std::size_t dist_probe_interval = 16;
+  // Both parallel engines run the shared part of their abort probe on every
+  // N-th explored execution: the thread explorer's locked cap/violation
+  // check (the coordinator mutex plus a scan of every job record), and the
+  // distributed worker's drain of its control channel (abort requests, cap
+  // credits, fingerprint verdicts; a recvmsg syscall).  The wall-clock
+  // deadline is still checked after every execution.  The cadence only
+  // delays aborts of work the merge cannot read, so results are
+  // bit-identical at any value; 1 probes at every execution boundary, the
+  // cadence the bit-parity tests pin.  Ignored by the serial explorer.
+  std::size_t probe_interval = 16;
 };
 
 struct ScheduleExploreResult {

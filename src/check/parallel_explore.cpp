@@ -154,21 +154,25 @@ void run_one_worker(Coordinator& co, std::size_t worker_id,
       continue;
     }
 
-    detail::SubtreeOptions sub;
-    sub.max_steps = options.base.max_steps;
+    detail::SubtreeOptions sub = detail::subtree_options(options.base);
     sub.max_executions = static_cast<std::size_t>(cap - before);
-    sub.record_traces = options.base.record_traces;
-    sub.warm_worlds = options.base.warm_worlds;
-    sub.dedupe_states = options.base.dedupe_states;
-    sub.dedupe_adaptive = options.base.dedupe_adaptive;
-    sub.max_crashes = options.base.max_crashes;
-    sub.por = options.base.por;
     sub.table = table;
     sub.live_executions = &rec->live_execs;
 
-    auto abort = [&co, rec, cap, &past_deadline] {
+    // The engine probes after every execution.  The deadline is checked
+    // every time; the cap/violation check takes the coordinator mutex and
+    // scans every job record while other workers keep publishing their
+    // live counters, so it runs only on every probe_interval-th call.
+    // Deferring it is sound: it only cuts work past the merge's return
+    // point, and the live counters it sums stay lower bounds.
+    std::uint64_t probes = 0;
+    auto abort = [&co, rec, cap, &past_deadline, &probes,
+                  interval = options.base.probe_interval] {
       if (past_deadline()) {
         return true;
+      }
+      if (probes++ % interval != 0) {
+        return false;
       }
       std::lock_guard<std::mutex> g(co.mu);
       if (co.violation_version.load(std::memory_order_relaxed) != 0 &&
@@ -271,16 +275,7 @@ ScheduleExploreResult explore_inline(
     const ParallelExploreOptions& options,
     const std::optional<Clock::time_point>& deadline) {
   auto past_deadline = [&] { return deadline && Clock::now() >= *deadline; };
-  detail::SubtreeOptions sub;
-  sub.max_steps = options.base.max_steps;
-  sub.max_executions = options.base.max_executions;
-  sub.record_traces = options.base.record_traces;
-  sub.warm_worlds = options.base.warm_worlds;
-  sub.dedupe_states = options.base.dedupe_states;
-  sub.dedupe_audit = options.base.dedupe_audit;
-  sub.dedupe_adaptive = options.base.dedupe_adaptive;
-  sub.max_crashes = options.base.max_crashes;
-  sub.por = options.base.por;
+  const detail::SubtreeOptions sub = detail::subtree_options(options.base);
   detail::AbortProbe abort;
   if (deadline) {
     abort = past_deadline;
@@ -302,32 +297,20 @@ ScheduleExploreResult explore_inline(
     }
   }
 
-  ScheduleExploreResult res;
-  res.jobs = 1;
-  if (!done) {
-    res.exhausted = false;
-    if (failure.empty()) {
-      res.timed_out = true;  // the deadline expired before any attempt ended
-    } else {
-      res.error = "subtree job failed after " +
-                  std::to_string(options.job_retries + 1) + " attempt(s): " +
-                  failure;
-    }
+  if (done) {
+    ScheduleExploreResult res = detail::to_explore_result(std::move(sr));
+    res.timed_out = !res.exhausted && past_deadline();
     return res;
   }
-  res.executions = sr.executions;
-  res.exhausted = sr.fully_explored;
-  res.violation = std::move(sr.violation);
-  res.witness = std::move(sr.witness);
-  res.states_seen = sr.states_seen;
-  res.subtrees_pruned = sr.subtrees_pruned;
-  res.replay_steps_saved = sr.replay_steps_saved;
-  res.por_skipped = sr.por_skipped;
-  res.dependent_wakeups = sr.dependent_wakeups;
-  res.footprint_bytes = sr.footprint_bytes;
-  res.dedupe_disabled_adaptively = sr.dedupe_disabled;
-  if (!sr.fully_explored && past_deadline()) {
-    res.timed_out = true;
+  ScheduleExploreResult res;
+  res.jobs = 1;
+  res.exhausted = false;
+  if (failure.empty()) {
+    res.timed_out = true;  // the deadline expired before any attempt ended
+  } else {
+    res.error = "subtree job failed after " +
+                std::to_string(options.job_retries + 1) + " attempt(s): " +
+                failure;
   }
   return res;
 }
@@ -364,16 +347,8 @@ ScheduleExploreResult parallel_explore_schedules(
     const std::uint64_t probe_cap =
         std::min<std::uint64_t>(cap, options.serial_probe_executions);
     auto past_deadline = [&] { return deadline && Clock::now() >= *deadline; };
-    detail::SubtreeOptions sub;
-    sub.max_steps = options.base.max_steps;
+    detail::SubtreeOptions sub = detail::subtree_options(options.base);
     sub.max_executions = static_cast<std::size_t>(probe_cap);
-    sub.record_traces = options.base.record_traces;
-    sub.warm_worlds = options.base.warm_worlds;
-    sub.dedupe_states = options.base.dedupe_states;
-    sub.dedupe_audit = options.base.dedupe_audit;
-    sub.dedupe_adaptive = options.base.dedupe_adaptive;
-    sub.max_crashes = options.base.max_crashes;
-    sub.por = options.base.por;
     detail::AbortProbe abort;
     if (deadline) {
       abort = past_deadline;
@@ -381,22 +356,8 @@ ScheduleExploreResult parallel_explore_schedules(
     try {
       auto sr = detail::explore_subtree(factory, {}, sub, abort);
       if (sr.fully_explored || sr.violation.has_value() || probe_cap >= cap) {
-        ScheduleExploreResult res;
-        res.jobs = 1;
-        res.executions = sr.executions;
-        res.exhausted = sr.fully_explored;
-        res.violation = std::move(sr.violation);
-        res.witness = std::move(sr.witness);
-        res.states_seen = sr.states_seen;
-        res.subtrees_pruned = sr.subtrees_pruned;
-        res.replay_steps_saved = sr.replay_steps_saved;
-        res.por_skipped = sr.por_skipped;
-        res.dependent_wakeups = sr.dependent_wakeups;
-        res.footprint_bytes = sr.footprint_bytes;
-        res.dedupe_disabled_adaptively = sr.dedupe_disabled;
-        if (!sr.fully_explored && past_deadline()) {
-          res.timed_out = true;
-        }
+        ScheduleExploreResult res = detail::to_explore_result(std::move(sr));
+        res.timed_out = !res.exhausted && past_deadline();
         return res;
       }
     } catch (...) {

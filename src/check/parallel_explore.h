@@ -29,6 +29,11 @@
 // before a job's region, so capped searches shrink each job's local cap at
 // claim time and abort jobs whose results the merge provably cannot read
 // (bound >= cap, or a violation already secured in an earlier region).
+// That abort check takes the coordinator mutex and scans every job record,
+// so a running job makes it only on every base.probe_interval-th execution
+// (the cadence the distributed worker uses to drain its socket; default
+// 16).  A late abort only walks further past the merge's return point, so
+// the cadence never changes a result.
 //
 // With base.dedupe_states set, all workers share one lock-free
 // transposition table (state_table.h) and the guarantee deliberately
@@ -59,9 +64,10 @@
 // re-explore the donated regions - in which case, or after the budget is
 // exhausted, the run degrades to a partial summary (`error` set, exhausted
 // false) covering the lexicographic prefix merged before the failed job.
-// A positive `time_limit` bounds the wall clock: running jobs abort at
-// their next probe, pending jobs stay unclaimed, and the merge returns a
-// partial summary with `timed_out` set.
+// A positive `time_limit` bounds the wall clock: running jobs check it after
+// every execution, whatever the probe interval, and abort once it passes;
+// pending jobs stay unclaimed, and the merge returns a partial summary with
+// `timed_out` set.
 #pragma once
 
 #include <chrono>

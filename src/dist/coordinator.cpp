@@ -415,8 +415,7 @@ HelloMsg make_hello(const CoState& co, std::uint32_t worker,
   hello.dedupe_adaptive = base.dedupe_adaptive;
   hello.por = base.por;
   hello.live_interval = std::max<std::uint64_t>(co.options->live_interval, 1);
-  hello.probe_interval =
-      std::max<std::uint64_t>(base.dist_probe_interval, 1);
+  hello.probe_interval = std::max<std::uint64_t>(base.probe_interval, 1);
   hello.fp_batch = std::max<std::uint32_t>(co.options->fp_batch, 1);
   hello.fp_window =
       std::max<std::uint32_t>(co.options->fp_window, hello.fp_batch);

@@ -198,8 +198,8 @@ struct HelloMsg {
   bool por = false;
   std::uint64_t live_interval = 256;  // executions between kLive messages
   // Abort-probe pump cadence: the worker drains coordinator frames every
-  // `probe_interval`-th abort probe (ScheduleExploreOptions::
-  // dist_probe_interval, validated >= 1).
+  // `probe_interval`-th abort probe (ScheduleExploreOptions::probe_interval,
+  // validated >= 1).
   std::uint64_t probe_interval = 16;
   // Fingerprint pipeline: claims ship in kFpBatch frames of up to fp_batch
   // entries, and at most fp_window claims may be awaiting verdicts before

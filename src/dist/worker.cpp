@@ -479,9 +479,9 @@ void run_job(Session& s, const JobMsg& job,
   // The probe runs after every execution; a recvmsg syscall each time
   // costs more than a small-step execution does (the socket is empty
   // almost always).  Draining every probe_interval-th probe (negotiated in
-  // the hello; ScheduleExploreOptions::dist_probe_interval, default 16)
-  // keeps steal-request and credit latency at a few executions while
-  // cutting the syscall rate - the toll the dist-workers-2 vs parallel-2
+  // the hello; ScheduleExploreOptions::probe_interval, default 16) keeps
+  // steal-request and credit latency at a few executions while cutting the
+  // syscall rate - the toll the dist-workers-2 vs parallel-2
   // smoke gate bounds.  Interval 1 drains at every execution boundary,
   // the cadence the wire bit-parity tests pin.
   const std::uint64_t probe_interval =

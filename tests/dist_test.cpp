@@ -531,15 +531,15 @@ TEST(DistParity, TwoAndFourWorkersBitIdenticalToSerial) {
 }
 
 // Satellite: the probe cadence is a pure latency/syscall knob, never a
-// semantic one.  At dist_probe_interval=1 (pump the control channel at
-// every execution boundary - the cadence the wire bit-parity tests use)
-// the merged summary must still be bit-identical to serial.
+// semantic one.  At probe_interval=1 (pump the control channel at every
+// execution boundary - the cadence the wire bit-parity tests use) the
+// merged summary must still be bit-identical to serial.
 TEST(DistParity, ProbeIntervalOneBitIdenticalToSerial) {
   auto serial = explore_schedules(script_factory({3, 3, 2}));
   ASSERT_TRUE(serial.exhausted);
   DistExploreOptions opt;
   opt.workers = 2;
-  opt.base.dist_probe_interval = 1;
+  opt.base.probe_interval = 1;
   auto dist = dist::dist_explore_schedules(script_factory({3, 3, 2}), opt);
   expect_same(dist, serial, "probe_interval=1");
   EXPECT_FALSE(dist.error.has_value());
@@ -549,7 +549,7 @@ TEST(DistParity, ProbeIntervalOneBitIdenticalToSerial) {
   // nothing and match the undeduped run bit-for-bit.
   DistExploreOptions dopt;
   dopt.workers = 2;
-  dopt.base.dist_probe_interval = 1;
+  dopt.base.probe_interval = 1;
   dopt.base.dedupe_states = true;
   auto ddist = dist::dist_explore_schedules(script_factory({3, 3, 2}), dopt);
   expect_same(ddist, serial, "probe_interval=1 + dedupe");

@@ -334,6 +334,53 @@ TEST(ParallelExplore, CapAccountingMatchesSerial) {
   }
 }
 
+// --- probe cadence: the locked cap/violation check every N-th execution ---
+
+TEST(ParallelProbe, CadenceKeepsCappedAndViolatingSearchesBitIdentical) {
+  // serial_probe_executions = 0 sends every search through the worker pool
+  // ({4,4,3} has 11,550 executions).  The cap stops the serial walk
+  // mid-tree, so the jobs past it are cut by the cap abort; the planted
+  // violation ranks after the 4,200 schedules that start with 0, so the
+  // jobs past it are cut by the violation abort.  Neither the cadence nor
+  // the thread count may move a result.
+  const Schedule planted{1, 0, 2, 0, 1, 2, 0, 1, 2, 0, 1};
+  struct Case {
+    const char* what;
+    std::size_t cap;
+    std::vector<Schedule> planted;
+  };
+  for (const Case& c : {Case{"capped", 5000, {}},
+                        Case{"violation", 500'000, {planted}}}) {
+    ScheduleExploreOptions base;
+    base.max_executions = c.cap;
+    auto factory = script_factory({4, 4, 3}, c.planted);
+    auto serial = explore_schedules(factory, base);
+    if (c.planted.empty()) {
+      EXPECT_EQ(serial.executions, 5000u);
+      EXPECT_FALSE(serial.exhausted);
+    } else {
+      ASSERT_TRUE(serial.violation.has_value());
+      EXPECT_EQ(serial.witness, planted);
+      EXPECT_GT(serial.executions, 4200u);
+    }
+    for (std::size_t interval : {1u, 16u}) {
+      for (std::size_t threads : {2u, 4u, 8u}) {
+        ParallelExploreOptions opt;
+        opt.base = base;
+        opt.base.probe_interval = interval;
+        opt.threads = threads;
+        opt.oversubscribe = true;
+        opt.serial_probe_executions = 0;
+        auto res = parallel_explore_schedules(factory, opt);
+        expect_same(res, serial,
+                    std::string(c.what) +
+                        " probe_interval=" + std::to_string(interval) +
+                        " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
 // --- transposition dedupe: verdict parity across thread counts ---
 
 Task<void> tag_script(mem::TypedRegister<Val>& reg, Val me,
@@ -578,10 +625,40 @@ TEST(ParallelDegrade, WallClockLimitReturnsPartialSummary) {
   EXPECT_FALSE(res.error.has_value());
 }
 
+TEST(ParallelDegrade, DeadlineMidJobAbortsPromptly) {
+  // Here the deadline passes while the jobs are being walked.  Steps sleep
+  // 10ms, so one execution of {5,4} (9 steps) takes about 0.1s and the
+  // whole tree (126 executions) takes two workers several seconds.  Each
+  // job's first abort probe comes about 0.1s in, before the 0.3s deadline.
+  // The probe interval lies past the tree size, so the locked cap/violation
+  // check runs only at that first probe; the deadline must still be checked
+  // after every execution and cut each walk within about one execution.
+  ParallelExploreOptions opt;
+  opt.threads = 2;
+  opt.oversubscribe = true;
+  opt.serial_probe_executions = 0;  // claim the seed job at once
+  opt.base.probe_interval = 1'000'000;
+  opt.time_limit = std::chrono::milliseconds(300);
+  const auto start = std::chrono::steady_clock::now();
+  auto res = parallel_explore_schedules(
+      [] { return std::make_unique<SlowWorld>(std::vector<std::size_t>{5, 4}); },
+      opt);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(res.timed_out);
+  EXPECT_FALSE(res.exhausted);
+  EXPECT_FALSE(res.violation);
+  EXPECT_FALSE(res.error.has_value());
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
 TEST(ParallelDegrade, OptionValidationAppliesToParallelEntry) {
   ParallelExploreOptions opt;
   opt.base.max_steps = 0;
   EXPECT_THROW(parallel_explore_schedules(script_factory({1, 1}), opt),
+               std::invalid_argument);
+  ParallelExploreOptions never_probes;
+  never_probes.base.probe_interval = 0;
+  EXPECT_THROW(parallel_explore_schedules(script_factory({1, 1}), never_probes),
                std::invalid_argument);
 }
 

@@ -68,7 +68,18 @@ enforces four things:
 
 8. Row schema: every record in the file carries the fields (with the types)
    its record kind promises, so sweeps over commits can diff numbers
-   without defensive parsing.
+   without defensive parsing.  That includes where the row was measured:
+   nproc, build_type and rev.
+
+9. Thread scaling: on register-script-554, parallel-4 must run in at most
+   THREAD_SCALING_LIMIT times the wall clock of parallel-1 from the same
+   run, and both rows must be bit-identical to serial.  Four threads can
+   only beat one thread on four cores, so the gate applies only when the
+   parallel-4 row records nproc >= THREAD_SCALING_MIN_NPROC; on smaller
+   machines it prints that it was skipped.  A failure means the threads
+   spend their extra cores on coordination instead of on the tree (the
+   per-execution locked abort probe of DESIGN.md finding 13 was one such
+   cost).
 
 Usage: tools/scaling_smoke.py [path-to-BENCH_modelcheck.json]
 """
@@ -88,6 +99,9 @@ HEARTBEAT_INSTANCE = "register-script-554"
 DIST_WORKER_CONFIGS = ("dist-workers-1", "dist-workers-2", "dist-workers-4")
 INSTANCES = ("register-script-554", "collect-writers-443")
 POR_INSTANCE = "register-script-554"
+THREAD_SCALING_INSTANCE = "register-script-554"
+THREAD_SCALING_LIMIT = 0.55
+THREAD_SCALING_MIN_NPROC = 4
 
 # Field name -> accepted python types, per record kind.  bool is checked
 # before int (bool is an int subclass in python).
@@ -95,6 +109,9 @@ NUMBER = (int, float)
 SCALING_SCHEMA = {
     "instance": str,
     "config": str,
+    "nproc": int,
+    "build_type": str,
+    "rev": str,
     "threads": int,
     "dedupe": bool,
     "por": bool,
@@ -120,6 +137,9 @@ SCALING_SCHEMA = {
 CRASH_SCHEMA = {
     "world": str,
     "config": str,
+    "nproc": int,
+    "build_type": str,
+    "rev": str,
     "threads": int,
     "max_crashes": int,
     "por": bool,
@@ -377,13 +397,49 @@ def main() -> int:
                     f"pipeline claim escaped the dedupe contract"
                 )
 
+    # Gate 9: four threads beat one thread on a machine with four cores.
+    one = rows.get((THREAD_SCALING_INSTANCE, "parallel-1"))
+    four = rows.get((THREAD_SCALING_INSTANCE, "parallel-4"))
+    if one is None or four is None:
+        failures.append(
+            f"{THREAD_SCALING_INSTANCE}: missing parallel-1/parallel-4 rows"
+        )
+    elif four.get("nproc", 0) < THREAD_SCALING_MIN_NPROC:
+        print(
+            f"scaling-smoke: {THREAD_SCALING_INSTANCE}: thread scaling"
+            f" skipped (nproc {four.get('nproc')} <"
+            f" {THREAD_SCALING_MIN_NPROC})"
+        )
+    else:
+        for row in (one, four):
+            if not row.get("identical_to_baseline", False):
+                failures.append(
+                    f"{THREAD_SCALING_INSTANCE}: {row['config']} result not "
+                    f"bit-identical to serial"
+                )
+        ratio = four["seconds"] / max(one["seconds"], 1e-9)
+        verdict = "ok" if ratio <= THREAD_SCALING_LIMIT else "FAIL"
+        print(
+            f"scaling-smoke: {THREAD_SCALING_INSTANCE}: parallel-1"
+            f" {one['seconds']:.3f}s, parallel-4 {four['seconds']:.3f}s ->"
+            f" {ratio:.2f}x (limit {THREAD_SCALING_LIMIT}x, nproc"
+            f" {four['nproc']}) {verdict}"
+        )
+        if ratio > THREAD_SCALING_LIMIT:
+            failures.append(
+                f"{THREAD_SCALING_INSTANCE}: parallel-4 takes {ratio:.2f}x "
+                f"the wall clock of parallel-1 (limit "
+                f"{THREAD_SCALING_LIMIT}x on {four['nproc']} cores)"
+            )
+
     if failures:
         for failure in failures:
             print(f"scaling-smoke: FAIL: {failure}")
         return 1
     print(
         "scaling-smoke: PASS (scaling, dedupe threads, POR, dist parity, "
-        "dist overhead, heartbeat overhead, dist dedupe overhead, schema)"
+        "dist overhead, heartbeat overhead, dist dedupe overhead, schema, "
+        "thread scaling)"
     )
     return 0
 
