@@ -41,16 +41,13 @@ constexpr std::uint64_t kDedupeAdaptFactor = 64;
 
 }  // namespace
 
-WarmPool::WarmPool(std::size_t capacity, bool adaptive,
-                   std::size_t max_capacity)
-    : capacity_(std::min(capacity, max_capacity)),
-      max_capacity_(max_capacity),
-      adaptive_(adaptive) {}
+WarmPool::WarmPool(std::size_t max_capacity)
+    : capacity_(max_capacity), max_capacity_(max_capacity) {}
 
 std::unique_ptr<ExplorableWorld> WarmPool::acquire(
     const std::vector<runtime::ProcessId>& target, std::size_t len,
     std::size_t* from_len) {
-  std::size_t best = entries_.size();
+  std::optional<std::size_t> best;
   std::size_t best_len = 0;
   for (std::size_t i = 0; i < entries_.size();) {
     const auto& applied = entries_[i]->scheduler().applied_schedule();
@@ -67,22 +64,21 @@ std::unique_ptr<ExplorableWorld> WarmPool::acquire(
       }
       continue;
     }
-    if (best == entries_.size() || applied.size() > best_len) {
+    if (!best || applied.size() > best_len) {
       best = i;
       best_len = applied.size();
     }
     ++i;
   }
-  if (best >= entries_.size()) {
-    if (adaptive_ && capacity_ == 0 && max_capacity_ > 0 &&
-        ++misses_ >= kReprobeMisses) {
+  if (!best) {
+    if (capacity_ == 0 && max_capacity_ > 0 && ++misses_ >= kReprobeMisses) {
       capacity_ = std::min(kReprobeCapacity, max_capacity_);
       saved_ = spent_ = window_parks_ = misses_ = 0;
     }
     return nullptr;
   }
-  auto world = std::move(entries_[best]);
-  entries_[best] = std::move(entries_.back());
+  auto world = std::move(entries_[*best]);
+  entries_[*best] = std::move(entries_.back());
   entries_.pop_back();
   *from_len = best_len;
   saved_ += best_len;
@@ -118,7 +114,7 @@ void WarmPool::note_spent(std::size_t steps) {
 }
 
 void WarmPool::adapt() {
-  if (adaptive_ && spent_ > saved_) {
+  if (spent_ > saved_) {
     capacity_ /= 2;  // the window ran at a realized loss
   }
   // Decay rather than reset: persistent trends dominate, one window cannot.
@@ -170,14 +166,13 @@ SubtreeResult explore_job(
   std::uint64_t dedupe_lookups = 0;
   std::uint64_t dedupe_prunes = 0;
 
-  // Warm pool: the caller's persistent per-worker pool (adaptive, survives
-  // across jobs) or a job-local fixed-capacity one (the serial explorer).
-  WarmPool local_pool(ctx != nullptr && ctx->pool != nullptr
-                          ? 0
-                          : options.warm_worlds,
-                      /*adaptive=*/false, options.warm_worlds);
-  WarmPool* pool =
-      ctx != nullptr && ctx->pool != nullptr ? ctx->pool : &local_pool;
+  // Warm pool: the caller's per-worker pool, which survives across jobs,
+  // or one that lives for this walk (the serial explorer).
+  std::optional<WarmPool> own_pool;
+  WarmPool* pool = ctx != nullptr ? ctx->pool : nullptr;
+  if (pool == nullptr) {
+    pool = &own_pool.emplace(options.warm_worlds);
+  }
   // Checkpoint recording makes parked worlds self-describing (and portable
   // to other workers); skip its per-step cost when parking can never happen.
   const bool checkpoints = pool->max_capacity() > 0;
@@ -386,11 +381,9 @@ SubtreeResult explore_job(
     const bool complete = runnable.empty();
     const bool root_interior = schedule.size() == prefix.size() &&
                                ctx != nullptr && ctx->root_choices != nullptr;
-    bool backtrack = false;
     bool count_execution = false;
     if (!root_interior &&
         (pruned || complete || schedule.size() >= options.max_steps)) {
-      backtrack = true;
       count_execution = !pruned;
       if (pruned) {
         ++res.subtrees_pruned;
@@ -458,12 +451,7 @@ SubtreeResult explore_job(
           }
         }
       }
-      if (f.choices.empty()) {
-        // Sleep-blocked interior node: everything enabled here is asleep.
-        // The subtree is fully covered by earlier siblings, so backtrack
-        // without counting an execution or evaluating a verdict.
-        backtrack = true;
-      } else {
+      if (!f.choices.empty()) {
         if (options.por) {
           f.fps.clear();
           auto& sched = world->scheduler();
@@ -502,8 +490,11 @@ SubtreeResult explore_job(
         runtime::apply_schedule_entry(world->scheduler(), schedule.back());
         continue;
       }
+      // Sleep-blocked interior node: everything enabled here is asleep.
+      // The subtree is fully covered by earlier siblings, so backtrack
+      // without counting an execution or evaluating a verdict.
     }
-    assert(backtrack);
+    // A leaf, a pruned transposition or a sleep-blocked node: backtrack.
     if (count_execution) {
       ++res.executions;
       if (options.live_executions != nullptr) {
@@ -546,13 +537,6 @@ SubtreeResult explore_job(
     sched_replace_back(f.choices[f.next++]);
     world = world_at(schedule.size());
   }
-}
-
-SubtreeResult explore_subtree(
-    const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
-    const std::vector<runtime::ProcessId>& prefix,
-    const SubtreeOptions& options, const AbortProbe& abort) {
-  return explore_job(factory, prefix, options, abort, nullptr);
 }
 
 SubtreeOptions subtree_options(const ScheduleExploreOptions& options) {

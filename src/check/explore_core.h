@@ -20,8 +20,8 @@
 // Parking is *not* free - finding 7 makes it exactly cost-neutral in steps
 // at best, and stale evictions make it a measured net loss on deep
 // low-branching trees - so the pool keeps a realized savings-vs-spend
-// ledger and, in adaptive mode, resizes itself to what the workload
-// actually earns (down to zero).
+// ledger and resizes itself to what the workload actually earns (down to
+// zero).  The serial explorer and every parallel worker use the same pool.
 #pragma once
 
 #include <atomic>
@@ -46,7 +46,7 @@ namespace revisim::check::detail {
 // before resuming it, and take_at() extracts the entry sitting at an exact
 // split node for donation to another worker.
 //
-// Adaptive mode keeps a ledger of replay steps actually saved by resumes
+// The pool keeps a ledger of replay steps actually saved by resumes
 // against steps spent building park replacements; when a window closes in
 // the red the capacity halves - possibly to zero, since parking is a
 // measured net loss on deep low-branching trees (the spend is immediate,
@@ -55,7 +55,9 @@ namespace revisim::check::detail {
 // so a workload whose shape changes can earn parking back.
 class WarmPool {
  public:
-  WarmPool(std::size_t capacity, bool adaptive, std::size_t max_capacity);
+  // Starts at `max_capacity` entries and never grows past it; 0 disables
+  // parking for good.
+  explicit WarmPool(std::size_t max_capacity);
 
   // Deepest entry whose applied schedule is a prefix of target[0..len).
   // Returns null on miss; on a hit, *from_len is the entry's depth (the
@@ -80,11 +82,9 @@ class WarmPool {
   // are recorded by acquire().  Each closed window adapts the capacity.
   void note_spent(std::size_t steps);
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t max_capacity() const noexcept {
     return max_capacity_;
   }
-  [[nodiscard]] std::uint64_t steps_saved() const noexcept { return saved_; }
 
  private:
   void adapt();
@@ -92,7 +92,6 @@ class WarmPool {
   std::vector<std::unique_ptr<ExplorableWorld>> entries_;
   std::size_t capacity_;
   std::size_t max_capacity_;
-  bool adaptive_;
   std::uint64_t saved_ = 0;
   std::uint64_t spent_ = 0;
   std::uint64_t window_parks_ = 0;
@@ -103,7 +102,7 @@ struct SubtreeOptions {
   std::size_t max_steps = 64;            // depth bound, prefix included
   std::size_t max_executions = 500'000;  // execution cap (values < 1 act as 1)
   bool record_traces = false;            // leave Scheduler fast mode off?
-  std::size_t warm_worlds = 8;           // checkpoint pool capacity (0 = off)
+  std::size_t warm_worlds = 8;           // warm pool upper bound (0 = off)
   // Crash branching: at every node, besides one step per runnable process,
   // the walk also branches on "crash p here" for each runnable p while the
   // schedule holds fewer than `max_crashes` crash entries.  Crash entries
@@ -214,7 +213,9 @@ struct JobContext {
   // Donation::sleep_inherited for root_sleep (wakeup-counting prefix).
   std::size_t root_sleep_inherited = 0;
   std::unique_ptr<ExplorableWorld> warm;
-  WarmPool* pool = nullptr;  // null: the engine builds a fixed local pool
+  // Null: the walk builds its own pool, sized by warm_worlds, that lives
+  // as long as the walk does.
+  WarmPool* pool = nullptr;
   SplitHooks split;
 };
 
@@ -267,12 +268,6 @@ SubtreeResult explore_job(
     const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
     const std::vector<runtime::ProcessId>& prefix, const SubtreeOptions& options,
     const AbortProbe& abort = {}, JobContext* ctx = nullptr);
-
-// Back-compat convenience: explore_job with no context.
-SubtreeResult explore_subtree(
-    const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
-    const std::vector<runtime::ProcessId>& prefix, const SubtreeOptions& options,
-    const AbortProbe& abort = {});
 
 // Appends to `out` the schedule entries available at a node whose runnable
 // set is `runnable`: first one plain step entry per runnable process, then -

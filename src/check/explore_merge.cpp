@@ -100,6 +100,169 @@ ScheduleExploreResult merge_job_results(std::vector<MergeJob>& jobs,
   return res;
 }
 
+void JobRecord::set_region(std::vector<runtime::ProcessId> region_prefix,
+                           std::vector<runtime::ProcessId> region_choices,
+                           std::vector<runtime::ProcessId> region_sleep,
+                           std::size_t region_sleep_inherited) {
+  key = region_prefix;
+  if (!region_choices.empty()) {
+    key.push_back(region_choices[0]);
+  }
+  prefix = std::move(region_prefix);
+  choices = std::move(region_choices);
+  sleep = std::move(region_sleep);
+  sleep_inherited = region_sleep_inherited;
+}
+
+JobRecord* JobTable::add(std::unique_ptr<JobRecord> rec) {
+  rec->state = JobRecord::kPending;
+  ++pending_;
+  records_.push_back(std::move(rec));
+  return records_.back().get();
+}
+
+JobRecord* JobTable::donate(std::unique_ptr<JobRecord> child,
+                            JobRecord& parent, std::size_t donor) {
+  child->donor = donor;
+  child->donated = true;
+  child->no_dedupe = parent.no_dedupe;
+  parent.children.push_back(child.get());
+  return add(std::move(child));
+}
+
+JobRecord* JobTable::claim(std::size_t worker, std::uint64_t* budget) {
+  for (;;) {
+    JobRecord* rec = nullptr;
+    for (const auto& r : records_) {
+      if (r->state == JobRecord::kPending &&
+          (rec == nullptr || key_less(r->key, rec->key))) {
+        rec = r.get();
+      }
+    }
+    if (rec == nullptr) {
+      return nullptr;
+    }
+    const std::uint64_t before = bound_before(rec->key);
+    if (!readable(*rec, before)) {
+      leave(*rec, JobRecord::kAborted);
+      continue;
+    }
+    leave(*rec, JobRecord::kRunning);
+    rec->live.store(0, std::memory_order_relaxed);
+    if (rec->donated && rec->donor != worker) {
+      ++steals_;
+    }
+    *budget = cap_ - before;
+    return rec;
+  }
+}
+
+std::uint64_t JobTable::bound_before(
+    const std::vector<runtime::ProcessId>& key) const {
+  std::uint64_t sum = 0;
+  for (const auto& r : records_) {
+    if (!r->cancelled && key_less(r->key, key)) {
+      sum += r->live.load(std::memory_order_relaxed);
+    }
+  }
+  return sum;
+}
+
+bool JobTable::readable(const JobRecord& rec) const {
+  return readable(rec, bound_before(rec.key));
+}
+
+bool JobTable::readable(const JobRecord& rec, std::uint64_t before) const {
+  return !rec.cancelled &&
+         !(have_violation_ && key_less(violation_key_, rec.key)) &&
+         before < cap_;
+}
+
+void JobTable::leave(JobRecord& rec, JobRecord::State next) {
+  if (rec.state == JobRecord::kPending) {
+    --pending_;
+  } else if (rec.state == JobRecord::kRunning) {
+    --running_;
+  }
+  if (next == JobRecord::kPending) {
+    ++pending_;
+  } else if (next == JobRecord::kRunning) {
+    ++running_;
+  }
+  rec.state = next;
+}
+
+void JobTable::complete(JobRecord& rec, SubtreeResult result) {
+  leave(rec, JobRecord::kDone);
+  if (rec.cancelled) {
+    return;  // the walk raced its cancellation; an ancestor re-covers it
+  }
+  rec.live.store(result.executions, std::memory_order_relaxed);
+  if (result.violation &&
+      (!have_violation_ || key_less(rec.key, violation_key_))) {
+    have_violation_ = true;
+    violation_key_ = rec.key;
+  }
+  rec.result = std::move(result);
+}
+
+bool JobTable::retry_or_fail(JobRecord& rec, std::string error,
+                             std::vector<JobRecord*>* cancelled) {
+  if (rec.cancelled || ++rec.failures > retries_) {
+    leave(rec, JobRecord::kFailed);
+    rec.error = std::move(error);
+    return false;
+  }
+  cancel_descendants(rec, cancelled);
+  leave(rec, JobRecord::kPending);
+  rec.live.store(0, std::memory_order_relaxed);
+  rec.no_dedupe = rec.no_dedupe || dedupe_;
+  return true;
+}
+
+void JobTable::cancel_descendants(JobRecord& rec,
+                                  std::vector<JobRecord*>* cancelled) {
+  for (JobRecord* child : rec.children) {
+    if (!child->cancelled) {
+      child->cancelled = true;
+      child->live.store(0, std::memory_order_relaxed);
+      if (child->state == JobRecord::kPending) {
+        leave(*child, JobRecord::kAborted);
+      }
+      if (cancelled != nullptr) {
+        cancelled->push_back(child);
+      }
+    }
+    cancel_descendants(*child, cancelled);
+  }
+}
+
+ScheduleExploreResult JobTable::merge(
+    const std::string& unfinished_error) const {
+  std::vector<MergeJob> order;
+  order.reserve(records_.size());
+  for (const auto& r : records_) {
+    if (r->cancelled) {
+      continue;
+    }
+    MergeJob j;
+    j.key = &r->key;
+    if (r->state == JobRecord::kDone) {
+      j.state = MergeJob::State::kDone;
+      j.result = &r->result;
+    } else if (r->state == JobRecord::kFailed) {
+      j.state = MergeJob::State::kFailed;
+      j.error = &r->error;
+    }
+    order.push_back(j);
+  }
+  ScheduleExploreResult res =
+      merge_job_results(order, cap_, retries_ + 1, unfinished_error);
+  res.jobs = order.size();
+  res.steals = steals_;
+  return res;
+}
+
 std::vector<ResumeAction> plan_resume(const std::vector<ResumeJob>& jobs) {
   std::unordered_map<std::uint64_t, std::size_t> index;
   index.reserve(jobs.size());

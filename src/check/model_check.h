@@ -74,9 +74,11 @@ struct ScheduleExploreOptions {
   // replayed step cheaper.  Executions are step-for-step identical either
   // way (verdicts, step counts and linearization points are unchanged).
   bool record_traces = false;
-  // Capacity of the warm-world checkpoint pool: worlds parked at branch
+  // Upper bound of the warm-world checkpoint pool: worlds parked at branch
   // nodes of the current DFS path so a backtrack resumes from the nearest
-  // retained prefix instead of rebuilding from scratch.  0 disables.
+  // retained prefix instead of rebuilding from scratch.  The pool starts at
+  // this size and halves whenever parking costs more replay steps than it
+  // saves (explore_core.h, WarmPool).  0 disables.
   std::size_t warm_worlds = 8;
   // Transposition pruning: skip subtrees rooted at a canonical global state
   // (ExplorableWorld::fingerprint) already visited.  Off by default.  The

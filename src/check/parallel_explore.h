@@ -6,7 +6,8 @@
 // prefix plus its first choice, carries the donor's remaining choice list
 // for that node, and - when the donor's warm pool holds a checkpoint parked
 // at the split node - a warm world that spares the thief the root replay.
-// Jobs are claimed lexicographically-earliest-first; workers keep private
+// Jobs are claimed lexicographically-earliest-first from the job table the
+// distributed coordinator uses too (explore_merge.h); workers keep private
 // adaptive warm-world pools that persist across the jobs they run.
 //
 // Splitting the shallowest frame keeps every job's region a contiguous
@@ -46,24 +47,26 @@
 // claiming worker, and `states_seen` cannot exceed the serial count on
 // exhausted searches (each distinct state is claimed exactly once).
 //
-// Thread counts and the one-core reality.  `threads == 1` bypasses the
-// coordinator entirely and runs the serial engine inline - no queue, no
-// thread spawn, no atomics - with the caller's fixed warm-pool size, so
-// parallel-1 costs serial-fast plus nothing.  For `threads >= 2` the worker
-// count is clamped to the hardware concurrency unless `oversubscribe` is
-// set: extra threads on saturated cores cannot run subtrees faster, they
-// only interleave them (the pre-rework frontier-split explorer lost 5x to
-// exactly that).  Tests set `oversubscribe` to force real thread
+// Thread counts and the one-core reality.  `threads == 1` runs one worker
+// on the calling thread, with no thread spawn and no serial probe: nobody
+// is ever hungry, so the seed job is the whole walk - the serial engine
+// plus one uncontended lock per probe interval.  For `threads >= 2` the
+// worker count is clamped to the hardware concurrency unless
+// `oversubscribe` is set: extra threads on saturated cores cannot run
+// subtrees faster, they only interleave them (the pre-rework
+// frontier-split explorer lost 5x to exactly that).  Tests set `oversubscribe` to force real thread
 // interleavings - steals, shared-table races - on any machine.
 //
 // The factory is invoked concurrently from worker threads and must be
 // thread-safe; worlds it returns must not share mutable state.
 //
-// Graceful degradation.  A job that throws is retried (fresh replay) up to
-// `job_retries` times unless it donated work mid-attempt - a retry would
-// re-explore the donated regions - in which case, or after the budget is
-// exhausted, the run degrades to a partial summary (`error` set, exhausted
-// false) covering the lexicographic prefix merged before the failed job.
+// Graceful degradation.  A job that throws goes back to the queue for a
+// fresh attempt up to `job_retries` times, under the retry policy the
+// distributed coordinator uses (JobTable::retry_or_fail): everything the
+// job donated is cancelled, since the re-run walks its whole region again,
+// and with dedupe the re-run walks with dedupe off.  Past the budget the
+// run degrades to a partial summary (`error` set, exhausted false)
+// covering the lexicographic prefix merged before the failed job.
 // A positive `time_limit` bounds the wall clock: running jobs check it after
 // every execution, whatever the probe interval, and abort once it passes;
 // pending jobs stay unclaimed, and the merge returns a partial summary with
@@ -79,7 +82,7 @@ namespace revisim::check {
 struct ParallelExploreOptions {
   ScheduleExploreOptions base{};
   // Worker threads; 0 means std::thread::hardware_concurrency().  1 runs
-  // the serial engine inline with no stealing machinery at all.
+  // the single worker on the calling thread.
   std::size_t threads = 0;
   // Spawn `threads` workers even beyond the hardware concurrency.  Off by
   // default: oversubscribed workers add interleaving overhead without
@@ -91,8 +94,8 @@ struct ParallelExploreOptions {
   // exhaustion); a deterministic throw exhausts the budget and the run
   // degrades to a partial summary with `error` set.
   std::size_t job_retries = 2;
-  // Serial probe: before spawning any thread, run the serial engine for up
-  // to this many executions.  If that already settles the search - the tree
+  // Serial probe: before spawning any thread (threads >= 2 only), run the
+  // serial engine for up to this many executions.  If that already settles the search - the tree
   // is exhausted, a violation is found (serial DFS order makes it the
   // lex-smallest), or the probe reached the caller's own cap - the probe's
   // result is returned outright; otherwise it is discarded and the pool

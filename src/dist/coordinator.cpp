@@ -30,8 +30,6 @@ namespace revisim::dist {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using check::detail::key_less;
-using runtime::ProcessId;
 
 class Log {
  public:
@@ -61,41 +59,12 @@ class Log {
   std::FILE* file_ = nullptr;
 };
 
-// The distributed twin of parallel_explore.cpp's JobRecord, extended with
-// the genealogy the fault-recovery machinery needs: a lost attempt's
-// re-run walks the job's FULL original region, so everything the attempt
-// donated (children, recursively) must be cancelled or it would be double
-// counted.  All state is owned by the single-threaded event loop - no
-// locks anywhere in the coordinator.
-struct DistJob {
-  enum State : int { kPending, kRunning, kDone, kFailed, kAborted };
-
+// A shared job record (explore_merge.h) plus the job's wire id and its
+// abort-credit state.  All state is owned by the single-threaded event
+// loop - no locks anywhere in the coordinator.
+struct DistJob : check::detail::JobRecord {
   std::uint64_t id = 0;
-  std::vector<ProcessId> key;      // prefix + first choice; see explore_merge.h
-  std::vector<ProcessId> prefix;
-  std::vector<ProcessId> choices;  // empty = all (seed job)
-  std::vector<ProcessId> sleep;
-  std::uint32_t sleep_inherited = 0;  // see DonateMsg
-  std::size_t donor = 0;
-  bool donated = false;            // false for the seed and resumed jobs
-  State state = kPending;
-  std::size_t failures = 0;        // failed/lost attempts consumed
-  bool abort_sent = false;         // a kCredit abort is already in flight
-  // A lost deduped attempt's claims survive in the shard table; the re-run
-  // (and every region it donates, recursively) walks with dedupe off so an
-  // orphaned claim can never prune it.
-  bool no_dedupe = false;
-  // Genealogy.  `children` spans every attempt; `cancelled` excludes the
-  // record from the merge because an ancestor's re-run re-covers its
-  // region.
-  DistJob* parent = nullptr;
-  std::vector<DistJob*> children;
-  bool cancelled = false;
-  // Lower bound on this region's executions, fed by kLive messages; same
-  // cap-bound role as JobRecord::live_execs.
-  std::uint64_t live = 0;
-  check::detail::SubtreeResult result;  // valid once kDone
-  std::string error;                    // valid once kFailed
+  bool abort_sent = false;  // a kCredit abort is already in flight
 };
 
 // Every epoll registration points at one of these; `kind` says what the
@@ -153,25 +122,23 @@ struct Provisional : PollTarget {
 };
 
 struct CoState {
+  CoState(std::uint64_t cap, const DistExploreOptions& opts)
+      : options(&opts),
+        jobs(cap, opts.job_retries, opts.base.dedupe_states) {}
+
   const DistExploreOptions* options = nullptr;
-  std::uint64_t cap = 0;
   std::optional<Clock::time_point> deadline;
   Log* log = nullptr;
   JournalWriter* journal = nullptr;  // nullptr = journaling off
   int listen_fd = -1;                // reconnect acceptor source; -1 = none
   int epfd = -1;
 
-  std::vector<std::unique_ptr<DistJob>> records;  // append-only
-  std::uint64_t next_id = 0;  // ids survive resume, so != records index
-  std::size_t pending = 0;
-  std::size_t running = 0;
+  check::detail::JobTable jobs;  // every record is a DistJob
+  std::uint64_t next_id = 0;  // ids survive resume, so != record index
   std::size_t alive = 0;   // connections not yet retired
   std::size_t completions = 0;  // non-cancelled kDone resolutions
   bool stop = false;
   bool first_job_shipped = false;
-  bool have_violation = false;
-  std::vector<ProcessId> violation_key;
-  std::size_t steals = 0;
   // Nonempty once the run lost the means to finish outstanding work (every
   // worker disconnected, the fingerprint audit found a collision, or the
   // halt_after_jobs hook fired); becomes the merged partial summary's error.
@@ -184,20 +151,6 @@ struct CoState {
   // kFpBatch frame's worth of claims per call.
   std::vector<std::unique_ptr<check::StateTable>> shards;
   std::size_t shard_bits = 0;
-
-  // Sum of live execution counters over records lex-before `key` - a lower
-  // bound on the serial execution count before this record's region.
-  // Cancelled records hold live == 0 (their region is re-counted by the
-  // ancestor that re-runs it).
-  std::uint64_t bound_before(const std::vector<ProcessId>& key) const {
-    std::uint64_t sum = 0;
-    for (const auto& r : records) {
-      if (!r->cancelled && key_less(r->key, key)) {
-        sum += r->live;
-      }
-    }
-    return sum;
-  }
 };
 
 // Poll granularity: with heartbeats armed the loop must wake often enough
@@ -212,16 +165,20 @@ int tick_ms(const CoState& co, int cap) {
       std::max<std::uint32_t>(hb / 2, 10), static_cast<std::uint32_t>(cap)));
 }
 
+std::uint32_t poll_events(bool write) {
+  return EPOLLIN | (write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+}
+
 void epoll_add(CoState& co, int fd, PollTarget* t, bool write) {
   struct epoll_event ev {};
-  ev.events = EPOLLIN | (write ? EPOLLOUT : 0);
+  ev.events = poll_events(write);
   ev.data.ptr = t;
   ::epoll_ctl(co.epfd, EPOLL_CTL_ADD, fd, &ev);
 }
 
 void epoll_mod(CoState& co, int fd, PollTarget* t, bool write) {
   struct epoll_event ev {};
-  ev.events = EPOLLIN | (write ? EPOLLOUT : 0);
+  ev.events = poll_events(write);
   ev.data.ptr = t;
   ::epoll_ctl(co.epfd, EPOLL_CTL_MOD, fd, &ev);
 }
@@ -300,10 +257,7 @@ void push_aborts(CoState& co) {
       continue;
     }
     DistJob* rec = c->current;
-    const bool dead_key =
-        co.have_violation && key_less(co.violation_key, rec->key);
-    if (co.stop || dead_key || rec->cancelled ||
-        co.bound_before(rec->key) >= co.cap) {
+    if (co.stop || !co.jobs.readable(*rec)) {
       rec->abort_sent = true;
       const std::uint64_t id = rec->id;
       send_msg(co, *c, MsgType::kCredit, [id](WireWriter& w) {
@@ -316,58 +270,30 @@ void push_aborts(CoState& co) {
   }
 }
 
-// Cancels every descendant of `rec`, recursively: the re-run of `rec`
-// walks its full original region, descendants included, so keeping their
-// records would double count.  Pending descendants leave the queue,
-// running ones are left to their abort credit (caller runs push_aborts),
-// finished ones are excluded from the merge, and the journal gets a
-// tombstone so a later resume ignores them too.
-void cancel_subtree(CoState& co, DistJob* rec) {
-  for (DistJob* child : rec->children) {
-    if (!child->cancelled) {
-      child->cancelled = true;
-      child->live = 0;
-      if (child->state == DistJob::kPending) {
-        child->state = DistJob::kAborted;
-        --co.pending;
-      }
-      if (co.journal != nullptr) {
-        co.journal->job_discarded(child->id);
-      }
-      co.log->line("coordinator: job %llu cancelled (ancestor %llu re-runs)",
-                   static_cast<unsigned long long>(child->id),
-                   static_cast<unsigned long long>(rec->id));
-    }
-    cancel_subtree(co, child);
-  }
-}
-
-// Re-queues a lost or throwing job - cancelling everything the lost
-// attempt donated - or fails it once retries are exhausted.  With
-// dedupe_states on, the lost attempt's claim-then-walk claims survive in
-// the shard table, so the re-run is marked no_dedupe (inherited by every
-// region it donates): it walks with dedupe off and can never be pruned by
-// an orphaned claim, keeping states_seen bounded by the serial count.
+// Re-queues a lost or throwing job or fails it once retries are exhausted
+// (JobTable::retry_or_fail).  Everything the lost attempts donated is
+// cancelled - running descendants are left to their abort credit (caller
+// runs push_aborts) - and the journal gets a tombstone for each, so a
+// later resume ignores them too.
 void requeue_or_fail(CoState& co, DistJob* rec, const std::string& why) {
-  ++rec->failures;
-  if (rec->failures > co.options->job_retries) {
-    rec->state = DistJob::kFailed;
-    rec->error = why;
+  std::vector<check::detail::JobRecord*> cancelled;
+  if (!co.jobs.retry_or_fail(*rec, why, &cancelled)) {
     co.log->line("coordinator: job %llu failed (%s)",
                  static_cast<unsigned long long>(rec->id), why.c_str());
-  } else {
-    cancel_subtree(co, rec);
-    rec->state = DistJob::kPending;
-    rec->live = 0;
-    rec->abort_sent = false;
-    if (co.options->base.dedupe_states) {
-      rec->no_dedupe = true;
-    }
-    ++co.pending;
-    co.log->line("coordinator: job %llu re-queued%s (%s)",
-                 static_cast<unsigned long long>(rec->id),
-                 rec->no_dedupe ? " dedupe-off" : "", why.c_str());
+    return;
   }
+  for (check::detail::JobRecord* r : cancelled) {
+    const std::uint64_t id = static_cast<DistJob*>(r)->id;
+    if (co.journal != nullptr) {
+      co.journal->job_discarded(id);
+    }
+    co.log->line("coordinator: job %llu cancelled (ancestor %llu re-runs)",
+                 static_cast<unsigned long long>(id),
+                 static_cast<unsigned long long>(rec->id));
+  }
+  co.log->line("coordinator: job %llu re-queued%s (%s)",
+               static_cast<unsigned long long>(rec->id),
+               rec->no_dedupe ? " dedupe-off" : "", why.c_str());
 }
 
 // Journals a completed walk the merge may reuse verbatim (fully explored
@@ -436,7 +362,7 @@ void retire(CoState& co, Conn& conn, const std::string& reason) {
   conn.phase = Conn::kDead;
   conn.write_armed = false;
   conn.ch.close();
-  if (--co.alive == 0 && (co.pending > 0 || co.running > 0)) {
+  if (--co.alive == 0 && (co.jobs.pending() > 0 || co.jobs.running() > 0)) {
     co.stop = true;
     if (co.unfinished_reason.empty()) {
       co.unfinished_reason = reason;
@@ -484,7 +410,6 @@ void on_conn_lost(CoState& co, Conn& conn, const std::string& why,
   co.log->line("coordinator: %s", death.c_str());
   if (conn.current != nullptr) {
     requeue_or_fail(co, conn.current, death);
-    --co.running;
     conn.current = nullptr;
     push_aborts(co);
   }
@@ -596,7 +521,6 @@ void handle_fp_batch(CoState& co, Conn& conn) {
   bool poisoned = false;
   std::string poison;
   std::vector<util::Fingerprint> fps;
-  std::vector<bool> scratch;  // avoid vector<bool>: insert_batch wants bool*
   std::unique_ptr<bool[]> was_new;
   for (std::size_t s = 0; s < by_shard.size(); ++s) {
     const std::vector<std::uint32_t>& idx = by_shard[s];
@@ -636,7 +560,6 @@ void handle_fp_batch(CoState& co, Conn& conn) {
       }
     }
   }
-  (void)scratch;
   if (poisoned) {
     if (co.unfinished_reason.empty()) {
       co.unfinished_reason = poison;
@@ -680,7 +603,7 @@ void handle_frame(CoState& co, Conn& conn) {
         // cancelled region's executions into budgets would double count
         // against the ancestor's re-run.
         if (!rec->cancelled) {
-          rec->live = live.executions;
+          rec->live.store(live.executions, std::memory_order_relaxed);
           push_aborts(co);
         }
       }
@@ -704,24 +627,14 @@ void handle_frame(CoState& co, Conn& conn) {
       }
       auto child = std::make_unique<DistJob>();
       child->id = co.next_id++;
-      child->key = d.prefix;
-      child->key.push_back(d.choices[0]);
-      child->prefix = std::move(d.prefix);
-      child->choices = std::move(d.choices);
-      child->sleep = std::move(d.sleep);
-      child->sleep_inherited = d.sleep_inherited;
-      child->donor = conn.worker;
-      child->donated = true;
-      child->no_dedupe = rec->no_dedupe;  // dedupe-off regions donate likewise
-      child->parent = rec;
-      rec->children.push_back(child.get());
+      child->set_region(std::move(d.prefix), std::move(d.choices),
+                        std::move(d.sleep), d.sleep_inherited);
       if (co.journal != nullptr) {
         co.journal->job_created(child->id, true, rec->id, child->prefix,
                                 child->choices, child->sleep,
-                                child->sleep_inherited);
+                                d.sleep_inherited);
       }
-      co.records.push_back(std::move(child));
-      ++co.pending;
+      co.jobs.donate(std::move(child), *rec, conn.worker);
       break;
     }
     case MsgType::kJobResult: {
@@ -730,25 +643,15 @@ void handle_frame(CoState& co, Conn& conn) {
       if (rec == nullptr) {
         throw WireError("job result outside a job");
       }
-      if (!rec->cancelled) {
-        rec->live = msg.result.executions;
-        if (msg.result.violation &&
-            (!co.have_violation || key_less(rec->key, co.violation_key))) {
-          co.have_violation = true;
-          co.violation_key = rec->key;
-        }
-        rec->result = std::move(msg.result);
-        // Partial walks (abort credits, stop) are stored as kDone too,
-        // exactly like the in-process explorer: the merge either never
-        // reads them or reports the truncation they represent.
-        rec->state = DistJob::kDone;
+      // Partial walks (abort credits, stop) complete too, exactly like the
+      // in-process explorer: the merge either never reads them or reports
+      // the truncation they represent.  A cancelled job's result is
+      // dropped: an ancestor's re-run already re-covers it.
+      const bool counted = !rec->cancelled;
+      co.jobs.complete(*rec, std::move(msg.result));
+      if (counted) {
         note_completion(co, rec);
-      } else {
-        // The walk raced its cancellation; the result is already
-        // re-covered by an ancestor's re-run.
-        rec->state = DistJob::kDone;
       }
-      --co.running;
       conn.current = nullptr;
       conn.stop_stalling = false;
       push_aborts(co);
@@ -760,13 +663,8 @@ void handle_frame(CoState& co, Conn& conn) {
       if (rec == nullptr) {
         throw WireError("job error outside a job");
       }
-      if (!rec->cancelled) {
-        requeue_or_fail(co, rec, msg.message);
-        push_aborts(co);
-      } else {
-        rec->state = DistJob::kDone;  // cancelled: merged as skipped
-      }
-      --co.running;
+      requeue_or_fail(co, rec, msg.message);
+      push_aborts(co);
       conn.current = nullptr;
       conn.stop_stalling = false;
       break;
@@ -909,7 +807,7 @@ void accept_reconnects(CoState& co, const check::CrashWorldSpec* spec) {
 // event batch, so a freed worker or a fresh donation is matched
 // immediately instead of waiting out a poll tick.
 void assign_jobs(CoState& co) {
-  while (!co.stop && co.pending > 0) {
+  while (!co.stop && co.jobs.pending() > 0) {
     Conn* idle = nullptr;
     for (const auto& c : co.conns) {
       if (c->phase == Conn::kServing && c->current == nullptr) {
@@ -920,42 +818,19 @@ void assign_jobs(CoState& co) {
     if (idle == nullptr) {
       return;
     }
-    DistJob* rec = nullptr;
-    for (const auto& r : co.records) {
-      if (r->state == DistJob::kPending &&
-          (rec == nullptr || key_less(r->key, rec->key))) {
-        rec = r.get();
-      }
-    }
+    JobMsg job;
+    auto* rec =
+        static_cast<DistJob*>(co.jobs.claim(idle->worker, &job.budget));
     if (rec == nullptr) {
       return;
     }
-    // Pre-skip jobs whose result the merge provably cannot read (same
-    // bound as the in-process claim path).
-    const std::uint64_t before = co.bound_before(rec->key);
-    const bool dead_key =
-        co.have_violation && key_less(co.violation_key, rec->key);
-    if (before >= co.cap || dead_key) {
-      rec->state = DistJob::kAborted;
-      --co.pending;
-      continue;
-    }
-    rec->state = DistJob::kRunning;
-    --co.pending;
-    ++co.running;
     idle->current = rec;
     rec->abort_sent = false;
-    rec->live = 0;
-    if (rec->donated && rec->donor != idle->worker) {
-      ++co.steals;
-    }
-    JobMsg job;
     job.id = rec->id;
-    job.budget = co.cap - before;
     job.prefix = rec->prefix;
     job.choices = rec->choices;
     job.sleep = rec->sleep;
-    job.sleep_inherited = rec->sleep_inherited;
+    job.sleep_inherited = static_cast<std::uint32_t>(rec->sleep_inherited);
     job.no_dedupe = rec->no_dedupe;
     if (co.options->fault_first_job_after != 0 && !co.first_job_shipped) {
       job.fault_after = co.options->fault_first_job_after;
@@ -977,8 +852,8 @@ void assign_jobs(CoState& co) {
 // with no pending job, poke every busy worker to donate.  Re-poked every
 // tick in case a request raced a donation someone else claimed.
 void poke_steals(CoState& co) {
-  if (!co.options->steal_requests || co.stop || co.pending != 0 ||
-      co.running == 0) {
+  if (!co.options->steal_requests || co.stop || co.jobs.pending() != 0 ||
+      co.jobs.running() == 0) {
     return;
   }
   bool hungry = false;
@@ -1088,7 +963,7 @@ void run_event_loop(CoState& co, const check::CrashWorldSpec* spec) {
   }
 
   struct epoll_event events[64];
-  while (!(co.running == 0 && (co.stop || co.pending == 0))) {
+  while (!(co.jobs.running() == 0 && (co.stop || co.jobs.pending() == 0))) {
     const int n =
         ::epoll_wait(co.epfd, events, 64, tick_ms(co, 100));
     if (n < 0) {
@@ -1195,7 +1070,7 @@ void load_journal(CoState& co, const DistExploreOptions& options,
   std::size_t reused = 0;
   std::size_t rerun = 0;
   std::size_t discarded = 0;
-  std::unordered_map<std::uint64_t, DistJob*> by_id;
+  std::unordered_map<std::uint64_t, check::detail::JobRecord*> by_id;
   for (std::size_t i = 0; i < alive.size(); ++i) {
     const JournalJob& j = *alive[i];
     if (plan[i] == check::detail::ResumeAction::kDiscard) {
@@ -1205,46 +1080,22 @@ void load_journal(CoState& co, const DistExploreOptions& options,
     }
     auto rec = std::make_unique<DistJob>();
     rec->id = j.id;
-    rec->prefix = j.prefix;
-    rec->choices = j.choices;
-    rec->sleep = j.sleep;
-    rec->sleep_inherited = j.sleep_inherited;
-    rec->key = j.prefix;
-    if (!j.choices.empty()) {
-      rec->key.push_back(j.choices[0]);
-    }
+    rec->set_region(j.prefix, j.choices, j.sleep, j.sleep_inherited);
+    check::detail::JobRecord* added = co.jobs.add(std::move(rec));
     if (plan[i] == check::detail::ResumeAction::kReuse) {
-      rec->state = DistJob::kDone;
-      rec->result = j.result;
-      rec->live = j.result.executions;
-      if (rec->result.violation &&
-          (!co.have_violation || key_less(rec->key, co.violation_key))) {
-        co.have_violation = true;
-        co.violation_key = rec->key;
-      }
+      co.jobs.complete(*added, j.result);
       ++reused;
     } else {
-      rec->state = DistJob::kPending;
-      ++co.pending;
       ++rerun;
     }
-    by_id[rec->id] = rec.get();
-    co.records.push_back(std::move(rec));
-  }
-  // Rebuild the genealogy among survivors so a rerun job that fails AGAIN
-  // cancels its (new) descendants correctly.
-  for (const auto& r : co.records) {
-    // Loaded records never link to discarded parents: a discarded parent
-    // implies a discarded child.
-    for (const JournalJob* j : alive) {
-      if (j->id == r->id && j->has_parent) {
-        const auto it = by_id.find(j->parent);
-        if (it != by_id.end()) {
-          r->parent = it->second;
-          it->second->children.push_back(r.get());
-        }
-        break;
-      }
+    by_id[j.id] = added;
+    // Rebuild the genealogy among survivors so a rerun job that fails
+    // AGAIN cancels its descendants correctly.  The journal is append-only,
+    // so a parent precedes its children, and survivors never have discarded
+    // parents: a discarded parent implies a discarded child.
+    const auto parent = j.has_parent ? by_id.find(j.parent) : by_id.end();
+    if (parent != by_id.end()) {
+      parent->second->children.push_back(added);
     }
   }
   co.log->line(
@@ -1306,11 +1157,11 @@ check::ScheduleExploreResult coordinate(
   }
 
   Log log(log_path_for("coordinator"));
-  CoState co;
-  co.options = &options;
+  const std::uint64_t cap =
+      std::max<std::uint64_t>(options.base.max_executions, 1);
+  CoState co(cap, options);
   co.log = &log;
   co.listen_fd = options.reconnect_window_ms > 0 ? reconnect_listen_fd : -1;
-  co.cap = std::max<std::uint64_t>(options.base.max_executions, 1);
   if (options.time_limit.count() > 0) {
     co.deadline = Clock::now() + options.time_limit;
   }
@@ -1365,23 +1216,21 @@ check::ScheduleExploreResult coordinate(
     }
     co.journal = &journal;
   }
-  if (co.records.empty()) {
+  if (co.jobs.empty()) {
     // Fresh run (or a journal that died before its seed record): one seed
     // job covering the whole tree, empty key.
     auto seed = std::make_unique<DistJob>();
     seed->id = co.next_id++;
     if (co.journal != nullptr) {
-      journal.job_created(seed->id, false, 0, seed->prefix, seed->choices,
-                          seed->sleep, seed->sleep_inherited);
+      journal.job_created(seed->id, false, 0, {}, {}, {}, 0);
     }
-    co.records.push_back(std::move(seed));
-    co.pending = 1;
+    co.jobs.add(std::move(seed));
   }
   log.line(
       "coordinator: %zu worker(s), cap=%llu, dedupe=%d, por=%d, "
       "heartbeat=%ums/%ums, reconnect=%ums, fp_batch=%u/%u, journal=%s, "
       "faults=%s",
-      co.conns.size(), static_cast<unsigned long long>(co.cap),
+      co.conns.size(), static_cast<unsigned long long>(cap),
       options.base.dedupe_states ? 1 : 0, options.base.por ? 1 : 0,
       options.heartbeat_interval_ms, options.heartbeat_timeout_ms,
       options.reconnect_window_ms, options.fp_batch, options.fp_window,
@@ -1404,35 +1253,7 @@ check::ScheduleExploreResult coordinate(
   }
   journal.close();
 
-  std::vector<check::detail::MergeJob> order;
-  order.reserve(co.records.size());
-  std::size_t merged_jobs = 0;
-  for (const auto& r : co.records) {
-    if (r->cancelled) {
-      continue;  // region re-covered by an ancestor's re-run
-    }
-    ++merged_jobs;
-    check::detail::MergeJob j;
-    j.key = &r->key;
-    switch (r->state) {
-      case DistJob::kDone:
-        j.state = check::detail::MergeJob::State::kDone;
-        j.result = &r->result;
-        break;
-      case DistJob::kFailed:
-        j.state = check::detail::MergeJob::State::kFailed;
-        j.error = &r->error;
-        break;
-      default:
-        j.state = check::detail::MergeJob::State::kUnfinished;
-        break;
-    }
-    order.push_back(j);
-  }
-  check::ScheduleExploreResult res = check::detail::merge_job_results(
-      order, co.cap, options.job_retries + 1, co.unfinished_reason);
-  res.jobs = merged_jobs;
-  res.steals = co.steals;
+  check::ScheduleExploreResult res = co.jobs.merge(co.unfinished_reason);
   if (!co.shards.empty()) {
     // The shard sums are the authoritative distinct-state count; workers
     // report only their local cache's lower bound.  subtrees_pruned stays

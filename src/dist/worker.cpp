@@ -170,7 +170,6 @@ class RemoteStateStore final : public check::StateStore {
 
   bool insert_at(util::Fingerprint fp, std::size_t depth,
                  const std::function<std::string()>& canonical = {}) override {
-    Session& s = session_;
     if (!sent_batches_.empty()) {
       poll_frames();  // retire any verdicts already on the socket
     }
@@ -628,8 +627,7 @@ bool serve_session(
     // The warm pool and the dedupe cache persist across jobs (and across
     // reconnects), like a parallel-explorer worker's do across claims.
     pool = std::make_unique<check::detail::WarmPool>(
-        static_cast<std::size_t>(s.hello.warm_worlds),
-        /*adaptive=*/true, static_cast<std::size_t>(s.hello.warm_worlds));
+        static_cast<std::size_t>(s.hello.warm_worlds));
     if (s.hello.dedupe_states) {
       store = std::make_unique<RemoteStateStore>(s);
     }

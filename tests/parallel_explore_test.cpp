@@ -22,6 +22,8 @@
 
 #include "src/augmented/augmented_snapshot.h"
 #include "src/augmented/linearizer.h"
+#include "src/check/explore_core.h"
+#include "src/check/explore_merge.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
 #include "src/memory/register.h"
@@ -33,6 +35,8 @@ namespace {
 using aug::AugmentedSnapshot;
 using check::ExplorableWorld;
 using check::explore_schedules;
+using check::detail::JobRecord;
+using check::detail::JobTable;
 using check::parallel_explore_schedules;
 using check::ParallelExploreOptions;
 using check::ScheduleExploreOptions;
@@ -186,6 +190,30 @@ TEST(ExploreCore, RecordTracesDoesNotChangeResults) {
   }
 }
 
+TEST(ExploreCore, WarmPoolResumesARootWorldAfterAnEviction) {
+  // A stale world (applied {1}) parked before a root world (applied {}):
+  // acquiring for {0} evicts the stale one on the way and must still find
+  // the root world, which saves no replay steps but spares a rebuild.
+  auto parked_at = [](const Schedule& applied) {
+    auto w = std::make_unique<ScriptWorld>(std::vector<std::size_t>{1, 1},
+                                           std::vector<Schedule>{});
+    w->scheduler().set_checkpointing(true);
+    for (ProcessId e : applied) {
+      runtime::apply_schedule_entry(w->scheduler(), e);
+    }
+    return w;
+  };
+  check::detail::WarmPool pool(2);
+  auto root = parked_at({});
+  const ExplorableWorld* root_world = root.get();
+  pool.park(parked_at({1}));
+  pool.park(std::move(root));
+  std::size_t from_len = 99;
+  auto got = pool.acquire({0}, 1, &from_len);
+  EXPECT_EQ(got.get(), root_world);
+  EXPECT_EQ(from_len, 0u);
+}
+
 // --- scheduler fast mode: step-for-step identical executions ---
 
 Task<void> aug_mixed(AugmentedSnapshot& m, ProcessId me) {
@@ -253,6 +281,7 @@ TEST(ParallelExplore, DeterministicAcrossThreadsAndStealing) {
       ParallelExploreOptions opt;
       opt.threads = threads;
       opt.oversubscribe = oversubscribe;
+      opt.serial_probe_executions = 0;
       auto res = parallel_explore_schedules(script_factory({3, 3, 2}), opt);
       expect_same(res, serial,
                   "threads=" + std::to_string(threads) +
@@ -279,9 +308,9 @@ TEST(ParallelExplore, ForcedStealsStayBitIdentical) {
 }
 
 TEST(ParallelExplore, SingleThreadIsTheSerialEngineInline) {
-  // threads == 1 bypasses the stealing machinery entirely: one job, zero
-  // steals, results bit-identical to explore_schedules - with and without
-  // a cap or a planted violation.
+  // threads == 1 runs the one worker on the calling thread: nobody is ever
+  // hungry, so one job, zero steals, and results bit-identical to
+  // explore_schedules - with and without a cap or a planted violation.
   const Schedule planted{0, 1, 1, 0};
   for (std::size_t cap : {3u, 500'000u}) {
     ScheduleExploreOptions base;
@@ -311,6 +340,7 @@ TEST(ParallelExplore, LexicographicallySmallestWitness) {
     ParallelExploreOptions opt;
     opt.threads = threads;
     opt.oversubscribe = true;
+    opt.serial_probe_executions = 0;
     auto res = parallel_explore_schedules(factory, opt);
     expect_same(res, serial, "threads=" + std::to_string(threads));
   }
@@ -326,6 +356,7 @@ TEST(ParallelExplore, CapAccountingMatchesSerial) {
       opt.base = base;
       opt.threads = threads;
       opt.oversubscribe = true;
+      opt.serial_probe_executions = 0;
       auto res = parallel_explore_schedules(script_factory({3, 3, 2}), opt);
       expect_same(res, serial,
                   "cap=" + std::to_string(cap) +
@@ -379,6 +410,141 @@ TEST(ParallelProbe, CadenceKeepsCappedAndViolatingSearchesBitIdentical) {
       }
     }
   }
+}
+
+TEST(ParallelProbe, SerialProbeSettlesSmallTreesAndDiscardsTheRest) {
+  // {3,3,2} has 560 executions.  The default probe (1,024) walks the whole
+  // tree before any thread starts: one job, no steals.  A 100-execution
+  // probe is inconclusive and discarded; the pool recounts from scratch
+  // and must land on the serial result all the same.
+  auto serial = explore_schedules(script_factory({3, 3, 2}));
+  ParallelExploreOptions opt;
+  opt.threads = 4;
+  opt.oversubscribe = true;
+  auto settled = parallel_explore_schedules(script_factory({3, 3, 2}), opt);
+  expect_same(settled, serial, "default probe");
+  EXPECT_EQ(settled.jobs, 1u);
+  EXPECT_EQ(settled.steals, 0u);
+
+  opt.serial_probe_executions = 100;
+  auto discarded = parallel_explore_schedules(script_factory({3, 3, 2}), opt);
+  expect_same(discarded, serial, "100-execution probe");
+}
+
+// --- the job table shared by the thread and the distributed engines ---
+
+std::unique_ptr<JobRecord> region(Schedule prefix, Schedule choices) {
+  auto rec = std::make_unique<JobRecord>();
+  rec->set_region(std::move(prefix), std::move(choices), {}, 0);
+  return rec;
+}
+
+check::detail::SubtreeResult walked(std::size_t executions,
+                                    bool violation = false) {
+  check::detail::SubtreeResult r;
+  r.executions = executions;
+  if (violation) {
+    r.violation = "planted";
+    r.violation_index = executions;
+  }
+  return r;
+}
+
+TEST(JobTable, ClaimReturnsTheLexEarliestPendingJob) {
+  JobTable table(100, /*retries=*/0, /*dedupe=*/false);
+  JobRecord* seed = table.add(region({}, {}));
+  std::uint64_t budget = 0;
+  ASSERT_EQ(table.claim(0, &budget), seed);
+  EXPECT_EQ(budget, 100u);
+  seed->live.store(7);
+  // Worker 0 splits off three regions, out of key order.
+  JobRecord* last = table.donate(region({1}, {2}), *seed, 0);
+  JobRecord* first = table.donate(region({0}, {1, 2}), *seed, 0);
+  JobRecord* middle = table.donate(region({1}, {0}), *seed, 0);
+  EXPECT_EQ(first->key, (Schedule{0, 1}));
+  EXPECT_EQ(table.pending(), 3u);
+  EXPECT_EQ(table.claim(1, &budget), first);
+  EXPECT_EQ(budget, 93u);  // the seed's 7 live executions precede it
+  EXPECT_EQ(table.claim(0, &budget), middle);  // the donor: not a steal
+  EXPECT_EQ(table.claim(1, &budget), last);
+  EXPECT_EQ(table.claim(1, &budget), nullptr);
+  EXPECT_EQ(table.pending(), 0u);
+  EXPECT_EQ(table.running(), 4u);
+  for (JobRecord* r : {seed, first, middle, last}) {
+    table.complete(*r, walked(1));
+  }
+  auto res = table.merge({});
+  EXPECT_EQ(res.jobs, 4u);
+  EXPECT_EQ(res.steals, 2u);
+  EXPECT_EQ(res.executions, 4u);
+  EXPECT_TRUE(res.exhausted);
+}
+
+TEST(JobTable, PreSkipsJobsOnceTheLexEarlierLiveSumReachesTheCap) {
+  JobTable table(10, /*retries=*/0, /*dedupe=*/false);
+  JobRecord* seed = table.add(region({}, {}));
+  std::uint64_t budget = 0;
+  ASSERT_EQ(table.claim(0, &budget), seed);
+  JobRecord* child = table.donate(region({0}, {1}), *seed, 0);
+  seed->live.store(9);
+  EXPECT_TRUE(table.readable(*child));
+  seed->live.store(10);
+  EXPECT_FALSE(table.readable(*child));
+  EXPECT_EQ(table.claim(1, &budget), nullptr);
+  EXPECT_EQ(child->state, JobRecord::kAborted);
+  EXPECT_EQ(table.pending(), 0u);
+  EXPECT_EQ(table.running(), 1u);
+}
+
+TEST(JobTable, PreSkipsJobsPastALexEarlierViolation) {
+  JobTable table(100, /*retries=*/0, /*dedupe=*/false);
+  JobRecord* early = table.add(region({0}, {1}));
+  JobRecord* late = table.add(region({1}, {0}));
+  std::uint64_t budget = 0;
+  ASSERT_EQ(table.claim(0, &budget), early);
+  table.complete(*early, walked(3, /*violation=*/true));
+  EXPECT_FALSE(table.readable(*late));
+  JobRecord* before = table.add(region({0}, {0}));  // lex-before the violation
+  EXPECT_EQ(table.claim(0, &budget), before);
+  EXPECT_EQ(table.claim(0, &budget), nullptr);
+  EXPECT_EQ(late->state, JobRecord::kAborted);
+}
+
+TEST(JobTable, RetryCancelsDescendantsOutOfTheBoundTheMergeAndJobs) {
+  // The seed donates a child, which donates a grandchild; then the seed's
+  // attempt fails.  Its re-run walks the whole tree again, so the child
+  // (running) and the grandchild (pending) are cancelled: out of the cap
+  // bound, the violation key, the merge and the job count.
+  JobTable table(100, /*retries=*/1, /*dedupe=*/true);
+  JobRecord* seed = table.add(region({}, {}));
+  std::uint64_t budget = 0;
+  ASSERT_EQ(table.claim(0, &budget), seed);
+  JobRecord* child = table.donate(region({0}, {1}), *seed, 0);
+  ASSERT_EQ(table.claim(1, &budget), child);
+  JobRecord* grandchild = table.donate(region({0, 1}, {2}), *child, 1);
+  seed->live.store(3);
+  child->live.store(40);
+  EXPECT_EQ(table.bound_before({2}), 43u);
+
+  std::vector<JobRecord*> cancelled;
+  EXPECT_TRUE(table.retry_or_fail(*seed, "lost", &cancelled));
+  EXPECT_EQ(cancelled, (std::vector<JobRecord*>{child, grandchild}));
+  EXPECT_TRUE(seed->no_dedupe);  // its old claims must not prune the re-run
+  EXPECT_EQ(table.bound_before({2}), 0u);
+  EXPECT_FALSE(table.readable(*child));
+  EXPECT_EQ(grandchild->state, JobRecord::kAborted);
+  EXPECT_EQ(table.pending(), 1u);  // the seed, for its re-run
+  // The cancelled walk still finishes, with a violation: dropped.
+  table.complete(*child, walked(40, /*violation=*/true));
+  EXPECT_EQ(table.running(), 0u);
+
+  ASSERT_EQ(table.claim(0, &budget), seed);
+  table.complete(*seed, walked(6));
+  auto res = table.merge({});
+  EXPECT_EQ(res.jobs, 1u);
+  EXPECT_EQ(res.executions, 6u);
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_FALSE(res.violation);
 }
 
 // --- transposition dedupe: verdict parity across thread counts ---
@@ -441,6 +607,7 @@ TEST(ParallelDedupe, VerdictParityAcrossThreadCounts) {
       opt.base = base;
       opt.threads = threads;
       opt.oversubscribe = true;
+      opt.serial_probe_executions = 0;
       auto res = parallel_explore_schedules(factory, opt);
       const std::string what =
           "banned=" + std::to_string(banned) +
@@ -473,6 +640,7 @@ TEST(ParallelDedupe, AuditModeAcrossThreadCounts) {
     opt.base = base;
     opt.threads = threads;
     opt.oversubscribe = true;
+    opt.serial_probe_executions = 0;
     auto res =
         parallel_explore_schedules(last_writer_factory({3, 3, 2}, 0), opt);
     EXPECT_TRUE(res.violation.has_value()) << threads;
@@ -500,6 +668,7 @@ TEST(ParallelDedupe, FingerprintExtraKeepsUniqueStatesBitIdentical) {
     opt.base = base;
     opt.threads = threads;
     opt.oversubscribe = true;
+    opt.serial_probe_executions = 0;
     auto res = parallel_explore_schedules(factory, opt);
     expect_same(res, plain, "threads=" + std::to_string(threads));
     EXPECT_EQ(res.subtrees_pruned, 0u) << threads;
@@ -518,6 +687,7 @@ TEST(ParallelExplore, ViolationExactlyAtCapAcrossThreads) {
     opt.base = base;
     opt.threads = threads;
     opt.oversubscribe = true;
+    opt.serial_probe_executions = 0;
     auto res = parallel_explore_schedules(factory, opt);
     expect_same(res, serial, "threads=" + std::to_string(threads));
   }
@@ -549,38 +719,53 @@ class FlakyWorld final : public ExplorableWorld {
 TEST(ParallelDegrade, PersistentlyThrowingJobYieldsErrorNotDeadlock) {
   // Every verdict throws: each job exhausts its retry budget and is marked
   // failed; the merge must return a partial summary naming the fault
-  // instead of deadlocking or propagating the exception.
-  std::atomic<int> always(1 << 20);
-  ParallelExploreOptions opt;
-  opt.threads = 2;
-  opt.oversubscribe = true;
-  opt.job_retries = 1;
-  auto res = parallel_explore_schedules(
-      [&] { return std::make_unique<FlakyWorld>(std::vector<std::size_t>{2, 2},
-                                                &always); },
-      opt);
-  ASSERT_TRUE(res.error.has_value());
-  EXPECT_NE(res.error->find("injected verdict fault"), std::string::npos);
-  EXPECT_NE(res.error->find("2 attempt"), std::string::npos);  // 1 + 1 retry
-  EXPECT_FALSE(res.exhausted);
-  EXPECT_FALSE(res.violation);
+  // instead of deadlocking or propagating the exception.  One thread runs
+  // the single worker on the calling thread; two run the pool.
+  for (std::size_t threads : {1u, 2u}) {
+    std::atomic<int> always(1 << 20);
+    ParallelExploreOptions opt;
+    opt.threads = threads;
+    opt.oversubscribe = true;
+    opt.job_retries = 1;
+    auto res = parallel_explore_schedules(
+        [&] {
+          return std::make_unique<FlakyWorld>(std::vector<std::size_t>{2, 2},
+                                              &always);
+        },
+        opt);
+    ASSERT_TRUE(res.error.has_value()) << threads;
+    EXPECT_NE(res.error->find("injected verdict fault"), std::string::npos)
+        << threads;
+    EXPECT_NE(res.error->find("2 attempt"), std::string::npos)  // 1 + 1 retry
+        << threads;
+    EXPECT_FALSE(res.exhausted) << threads;
+    EXPECT_FALSE(res.violation) << threads;
+  }
 }
 
 TEST(ParallelDegrade, TransientFaultIsAbsorbedByRetry) {
   // One injected throw: some job fails once, its retry succeeds, and the
   // final summary is bit-identical to the fault-free serial exploration.
+  // The serial probe is off, or it would swallow the throw itself.
   auto serial = explore_schedules(script_factory({2, 2}));
-  std::atomic<int> once(1);
-  ParallelExploreOptions opt;
-  opt.threads = 2;
-  opt.job_retries = 2;
-  auto res = parallel_explore_schedules(
-      [&] { return std::make_unique<FlakyWorld>(std::vector<std::size_t>{2, 2},
-                                                &once); },
-      opt);
-  expect_same(res, serial, "transient fault absorbed");
-  EXPECT_FALSE(res.error.has_value());
-  EXPECT_FALSE(res.timed_out);
+  for (std::size_t threads : {1u, 2u}) {
+    std::atomic<int> once(1);
+    ParallelExploreOptions opt;
+    opt.threads = threads;
+    opt.job_retries = 2;
+    opt.serial_probe_executions = 0;
+    auto res = parallel_explore_schedules(
+        [&] {
+          return std::make_unique<FlakyWorld>(std::vector<std::size_t>{2, 2},
+                                              &once);
+        },
+        opt);
+    expect_same(res, serial,
+                "transient fault absorbed, threads=" + std::to_string(threads));
+    EXPECT_FALSE(res.error.has_value()) << threads;
+    EXPECT_FALSE(res.timed_out) << threads;
+    EXPECT_LE(once.load(), 0) << threads;  // the fault was injected
+  }
 }
 
 Task<void> slow_writes(Scheduler& sched, std::size_t obj, ProcessId /*me*/,
@@ -609,20 +794,24 @@ class SlowWorld final : public ExplorableWorld {
 };
 
 TEST(ParallelDegrade, WallClockLimitReturnsPartialSummary) {
-  // Steps sleep 10ms and the deadline is 1ms: it has passed before any
-  // worker claims a job, so every subtree is left unexplored and the merge
-  // must report a timed-out partial summary rather than block.
-  ParallelExploreOptions opt;
-  opt.threads = 2;
-  opt.oversubscribe = true;
-  opt.time_limit = std::chrono::milliseconds(1);
-  auto res = parallel_explore_schedules(
-      [] { return std::make_unique<SlowWorld>(std::vector<std::size_t>{2, 2}); },
-      opt);
-  EXPECT_TRUE(res.timed_out);
-  EXPECT_FALSE(res.exhausted);
-  EXPECT_FALSE(res.violation);
-  EXPECT_FALSE(res.error.has_value());
+  // Steps sleep 10ms and the deadline is 1ms: it passes before the first
+  // execution ends, so the walk is cut at once or never starts, and the
+  // merge must report a timed-out partial summary rather than block.
+  for (std::size_t threads : {1u, 2u}) {
+    ParallelExploreOptions opt;
+    opt.threads = threads;
+    opt.oversubscribe = true;
+    opt.time_limit = std::chrono::milliseconds(1);
+    auto res = parallel_explore_schedules(
+        [] {
+          return std::make_unique<SlowWorld>(std::vector<std::size_t>{2, 2});
+        },
+        opt);
+    EXPECT_TRUE(res.timed_out) << threads;
+    EXPECT_FALSE(res.exhausted) << threads;
+    EXPECT_FALSE(res.violation) << threads;
+    EXPECT_FALSE(res.error.has_value()) << threads;
+  }
 }
 
 TEST(ParallelDegrade, DeadlineMidJobAbortsPromptly) {
@@ -633,22 +822,26 @@ TEST(ParallelDegrade, DeadlineMidJobAbortsPromptly) {
   // The probe interval lies past the tree size, so the locked cap/violation
   // check runs only at that first probe; the deadline must still be checked
   // after every execution and cut each walk within about one execution.
-  ParallelExploreOptions opt;
-  opt.threads = 2;
-  opt.oversubscribe = true;
-  opt.serial_probe_executions = 0;  // claim the seed job at once
-  opt.base.probe_interval = 1'000'000;
-  opt.time_limit = std::chrono::milliseconds(300);
-  const auto start = std::chrono::steady_clock::now();
-  auto res = parallel_explore_schedules(
-      [] { return std::make_unique<SlowWorld>(std::vector<std::size_t>{5, 4}); },
-      opt);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_TRUE(res.timed_out);
-  EXPECT_FALSE(res.exhausted);
-  EXPECT_FALSE(res.violation);
-  EXPECT_FALSE(res.error.has_value());
-  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  for (std::size_t threads : {1u, 2u}) {
+    ParallelExploreOptions opt;
+    opt.threads = threads;
+    opt.oversubscribe = true;
+    opt.serial_probe_executions = 0;  // claim the seed job at once
+    opt.base.probe_interval = 1'000'000;
+    opt.time_limit = std::chrono::milliseconds(300);
+    const auto start = std::chrono::steady_clock::now();
+    auto res = parallel_explore_schedules(
+        [] {
+          return std::make_unique<SlowWorld>(std::vector<std::size_t>{5, 4});
+        },
+        opt);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(res.timed_out) << threads;
+    EXPECT_FALSE(res.exhausted) << threads;
+    EXPECT_FALSE(res.violation) << threads;
+    EXPECT_FALSE(res.error.has_value()) << threads;
+    EXPECT_LT(elapsed, std::chrono::seconds(2)) << threads;
+  }
 }
 
 TEST(ParallelDegrade, OptionValidationAppliesToParallelEntry) {
@@ -677,6 +870,7 @@ TEST(ParallelCrash, CrashBranchingMatchesSerial) {
       opt.base = base;
       opt.threads = threads;
       opt.oversubscribe = true;
+      opt.serial_probe_executions = 0;
       auto res = parallel_explore_schedules(script_factory({1, 1}), opt);
       expect_same(res, serial,
                   "crashes=" + std::to_string(crashes) +
@@ -706,6 +900,7 @@ TEST(ParallelCrash, StealsDuringCrashBranchingStayBitIdentical) {
       opt.base = base;
       opt.threads = threads;
       opt.oversubscribe = true;
+      opt.serial_probe_executions = 0;
       auto res = parallel_explore_schedules(factory, opt);
       expect_same(res, serial, "threads=" + std::to_string(threads));
     }
