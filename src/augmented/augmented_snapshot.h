@@ -205,7 +205,7 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
       // Lines 5-6: publish h as L_{me,j}[#h_j] for every j != me; the f-1
       // single-writer writes are one update of H[me].
       if (ablation_.helping) {
-        auto hptr = std::make_shared<const HView>(h);
+        auto hptr = std::make_shared<const PublishedView>(h);
         for (std::size_t j = 0; j < f_; ++j) {
           if (j != me) {
             own_[me].lrecords.push_back(LRecord{j, num_bu(h, j), hptr});
@@ -279,9 +279,9 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     HView g = std::move(gs.view);
     log_.block_updates[idx].step_g = gs.lin_step;
     if (ablation_.helping) {
-      auto gptr = std::make_shared<const HView>(g);
+      auto gptr = std::make_shared<const PublishedView>(std::move(g));
       for (std::size_t j = 0; j < me; ++j) {
-        own_[me].lrecords.push_back(LRecord{j, num_bu(g, j), gptr});
+        own_[me].lrecords.push_back(LRecord{j, num_bu(gptr->view, j), gptr});
       }
     }
     co_await h_.update(me, own_[me]);

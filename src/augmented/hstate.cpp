@@ -67,7 +67,10 @@ std::shared_ptr<const HView> read_lrecord(const HView& h, std::size_t j,
   const auto& recs = h.at(j).lrecords;
   for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
     if (it->target == target && it->index == index) {
-      return it->h;
+      if (it->h == nullptr) {
+        return nullptr;
+      }
+      return std::shared_ptr<const HView>(it->h, &it->h->view);
     }
   }
   return nullptr;

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/augmented/timestamp.h"
@@ -44,13 +45,14 @@ struct UpdateTriple {
 
 struct HComp;
 using HView = std::vector<HComp>;  // result of a scan of H (all f components)
+struct PublishedView;
 
 // The paper's L_{i,j}[b] <- h: "for q_{target+1}'s Block-Update number
 // `index`, here is the scan result `h`".
 struct LRecord {
   std::size_t target = 0;  // j: the process being helped (0-based)
   std::size_t index = 0;   // b: which of its Block-Updates
-  std::shared_ptr<const HView> h;  // scan result being published
+  std::shared_ptr<const PublishedView> h;  // scan result being published
 
   inline void fingerprint_into(util::StateSink& sink) const;
 };
@@ -72,12 +74,24 @@ struct HComp {
   }
 };
 
+// A scan result published as a helping record: immutable once published,
+// and copied into every later scan of H, so the hash stream folds it into
+// a digest memoised next to it (util::feed_shared) rather than re-streaming
+// it at every visit.  The view is constructed in place, in the same
+// allocation as the memo.
+struct PublishedView {
+  explicit PublishedView(HView v) : view(std::move(v)) {}
+
+  HView view;
+  mutable std::optional<util::Fingerprint> digest;  // of `view`; lazy
+};
+
 inline void LRecord::fingerprint_into(util::StateSink& sink) const {
   util::feed(sink, target);
   util::feed(sink, index);
   sink.word(h != nullptr ? 1 : 0);
   if (h != nullptr) {
-    util::feed(sink, *h);
+    util::feed_shared(sink, h->view, h->digest);
   }
 }
 
@@ -102,8 +116,9 @@ inline std::size_t num_bu(const HView& h, std::size_t j) {
 // lexicographically largest timestamp among all triples for j, or bottom.
 [[nodiscard]] View get_view(const HView& h, std::size_t m);
 
-// Reads the paper's L_{j+1,me+1}[index]: the last helping record in
-// component j of `h` with the given target and index, or nullptr.
+// Reads the paper's L_{j+1,me+1}[index]: the view of the last helping
+// record in component j of `h` with the given target and index, or
+// nullptr.  The pointer shares ownership of the published record.
 [[nodiscard]] std::shared_ptr<const HView> read_lrecord(const HView& h,
                                                         std::size_t j,
                                                         std::size_t target,

@@ -28,6 +28,21 @@
 // off for that world.  Every word fed below is length-prefixed (vector sizes,
 // presence flags), so the word stream is an injective encoding of the state
 // for a fixed world factory.
+//
+// Immutable shared substructures.  A value that is published once behind a
+// shared pointer and never changes afterwards (the augmented snapshot's
+// helping views, src/augmented/hstate.h) may be fed through feed_shared
+// with a memo stored next to it.  HashSink - the only sink whose
+// folds_shared() is true - then receives the value's own 128-bit digest as
+// two words, computed from the value's full stream the first time any
+// HashSink visits it, instead of the full stream on every visit.  The hash
+// stream stays an injective encoding up to a collision of that inner
+// digest; TextSink still receives the full stream, so canonical_state()
+// remains the complete encoding and collision-audit mode detects a
+// collision at any nesting level.  The memo is written lazily behind a
+// const method without synchronisation: one world, and every value it
+// publishes, must be touched by one thread at a time (every explorer
+// engine builds and walks its own worlds).
 #pragma once
 
 #include <cstdint>
@@ -49,6 +64,9 @@ class StateSink {
  public:
   virtual ~StateSink() = default;
   virtual void word(std::uint64_t w) = 0;
+  // True if feed_shared may fold an immutable shared value into its
+  // memoised digest instead of streaming the value in full.
+  [[nodiscard]] virtual bool folds_shared() const { return false; }
 };
 
 // 128-bit accumulator: two independently keyed 64-bit lanes, each word mixed
@@ -62,6 +80,8 @@ class HashSink final : public StateSink {
     b_ = mix(b_ + (w * 0xbf58476d1ce4e5b9ull) + 0x94d049bb133111ebull);
     ++n_;
   }
+
+  [[nodiscard]] bool folds_shared() const override { return true; }
 
   [[nodiscard]] Fingerprint digest() const {
     Fingerprint fp;
@@ -141,6 +161,25 @@ inline void feed(StateSink& sink, const std::vector<T>& v) {
   for (const auto& e : v) {
     feed(sink, e);
   }
+}
+
+// Feeds a value that never changes once published (see "Immutable shared
+// substructures" above): its memoised digest to a sink that folds shared
+// values, its full stream to any other.  `memo` belongs to the value.
+template <typename T>
+inline void feed_shared(StateSink& sink, const T& value,
+                        std::optional<Fingerprint>& memo) {
+  if (!sink.folds_shared()) {
+    feed(sink, value);
+    return;
+  }
+  if (!memo.has_value()) {
+    HashSink inner;
+    feed(inner, value);
+    memo = inner.digest();
+  }
+  sink.word(memo->hi);
+  sink.word(memo->lo);
 }
 
 }  // namespace revisim::util

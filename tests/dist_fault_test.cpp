@@ -491,7 +491,9 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
 void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  if (!bytes.empty()) {  // an empty vector's data() may be null
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 

@@ -8,14 +8,20 @@
 // with different residual behaviour never merge).  On top of that, serial
 // dedupe runs must preserve the explorer's verdict while pruning at least
 // half the executions on a state-merging world, and collision-audit mode
-// must turn a fabricated 128-bit collision into a loud failure.
+// must turn a fabricated 128-bit collision into a loud failure.  The
+// augmented snapshot's published helping views reach the hash stream as
+// memoised digests: the tests below check that this keeps the hash a
+// function of the state alone and leaves the audit text complete.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/augmented/hstate.h"
+#include "src/check/crash_worlds.h"
 #include "src/check/model_check.h"
 #include "src/check/state_table.h"
 #include "src/memory/register.h"
@@ -171,6 +177,180 @@ TEST(Fingerprint, DoneFlagChangesHash) {
   s2->run_step(0);
   s2->run_step(0);  // done
   EXPECT_NE(digest_of(*s1), digest_of(*s2));
+}
+
+// --- memoised digests of published helping views --------------------------
+
+// Counts the words it receives; folds shared values into digests or not.
+class CountingSink final : public util::StateSink {
+ public:
+  explicit CountingSink(bool folds) : folds_(folds) {}
+  void word(std::uint64_t /*w*/) override { ++words; }
+  [[nodiscard]] bool folds_shared() const override { return folds_; }
+
+  std::size_t words = 0;
+
+ private:
+  bool folds_;
+};
+
+// The encoding of H contents with every helping view streamed in full,
+// written out independently of the fingerprint_into methods: the reference
+// the audit text must keep matching.
+void stream_in_full(util::StateSink& sink, const aug::HView& h) {
+  sink.word(h.size());
+  for (const aug::HComp& comp : h) {
+    util::feed(sink, comp.triples);
+    sink.word(comp.num_bu);
+    sink.word(comp.lrecords.size());
+    for (const aug::LRecord& rec : comp.lrecords) {
+      sink.word(rec.target);
+      sink.word(rec.index);
+      sink.word(rec.h != nullptr ? 1 : 0);
+      if (rec.h != nullptr) {
+        stream_in_full(sink, rec.h->view);
+      }
+    }
+  }
+}
+
+std::string text_of(const aug::HView& h) {
+  std::string out;
+  util::TextSink sink(out);
+  util::feed(sink, h);
+  return out;
+}
+
+util::Fingerprint hash_of(const aug::HView& h) {
+  util::HashSink sink;
+  util::feed(sink, h);
+  return sink.digest();
+}
+
+// H contents whose only triple sits two helping views deep: H[0] publishes
+// a view whose H[1] publishes a view holding `innermost`.
+aug::HView doubly_nested(Val innermost) {
+  aug::HView inner(2);
+  inner[0].triples.push_back(
+      aug::UpdateTriple{0, innermost, aug::Timestamp({1, 0})});
+  inner[0].num_bu = 1;
+  aug::HView middle(2);
+  middle[1].lrecords.push_back(
+      aug::LRecord{0, 1, std::make_shared<const aug::PublishedView>(inner)});
+  aug::HView outer(2);
+  outer[0].lrecords.push_back(
+      aug::LRecord{1, 0, std::make_shared<const aug::PublishedView>(middle)});
+  return outer;
+}
+
+TEST(PublishedView, DifferenceInsideNestedViewChangesHashAndText) {
+  const aug::HView a = doubly_nested(5);
+  const aug::HView b = doubly_nested(6);
+  EXPECT_NE(hash_of(a), hash_of(b));
+  EXPECT_NE(text_of(a), text_of(b));
+  EXPECT_EQ(hash_of(a), hash_of(doubly_nested(5)));  // fresh memos agree
+
+  // One level deep too: the published view itself differs.
+  aug::HView c = doubly_nested(5);
+  aug::HView d = doubly_nested(5);
+  d[0].lrecords[0] = aug::LRecord{
+      1, 0, std::make_shared<const aug::PublishedView>(aug::HView(2))};
+  EXPECT_NE(hash_of(c), hash_of(d));
+  EXPECT_NE(text_of(c), text_of(d));
+}
+
+TEST(PublishedView, DigestIsLazyAndOnlyHashSinksFillIt) {
+  const aug::HView h = doubly_nested(5);
+  const aug::PublishedView& middle = *h[0].lrecords[0].h;
+  const aug::PublishedView& inner = *middle.view[1].lrecords[0].h;
+  EXPECT_FALSE(middle.digest.has_value());
+
+  (void)text_of(h);
+  EXPECT_FALSE(middle.digest.has_value());
+  EXPECT_FALSE(inner.digest.has_value());
+
+  const util::Fingerprint cold = hash_of(h);
+  ASSERT_TRUE(middle.digest.has_value());
+  ASSERT_TRUE(inner.digest.has_value());
+  EXPECT_EQ(*inner.digest, hash_of(inner.view));
+  EXPECT_EQ(hash_of(h), cold);  // warm memos give the same digest
+}
+
+TEST(PublishedView, TextKeepsEveryNestedWordWhileHashFoldsThem) {
+  const aug::HView h = doubly_nested(5);
+  std::string reference;
+  util::TextSink ref_sink(reference);
+  stream_in_full(ref_sink, h);
+  EXPECT_EQ(text_of(h), reference);
+
+  CountingSink full(false);
+  CountingSink folded(true);
+  util::feed(full, h);
+  util::feed(folded, h);
+  EXPECT_EQ(full.words,
+            static_cast<std::size_t>(
+                std::count(reference.begin(), reference.end(), ' ')));
+  // Outer level: 2 components x (triples, num_bu, lrecords) + the size
+  // word, plus target, index, flag and two digest words for the record.
+  EXPECT_EQ(folded.words, 1u + 2 * 3 + 5);
+  EXPECT_LT(folded.words, full.words);
+}
+
+// Runs `steps` steps of q2, then q3, then q1 on an aug-bu world with f = 3:
+// q3's helping view contains q2's helping record, so published views nest.
+void run_nesting_schedule(check::ExplorableWorld& w, std::size_t steps,
+                          std::vector<util::Fingerprint>* per_step) {
+  Scheduler& sched = w.scheduler();
+  std::size_t taken = 0;
+  for (ProcessId p : {ProcessId{1}, ProcessId{2}, ProcessId{0}}) {
+    while (taken < steps && !sched.is_done(p)) {
+      sched.run_step(p);
+      ++taken;
+      if (per_step != nullptr) {
+        per_step->push_back(w.fingerprint());
+      }
+    }
+  }
+}
+
+auto nesting_world_factory() {
+  check::CrashWorldSpec spec;
+  spec.world = "aug-bu";
+  spec.f = 3;
+  spec.m = 2;
+  return check::make_crash_world_factory(spec);
+}
+
+TEST(PublishedView, WorldFingerprintIndependentOfMemoState) {
+  auto factory = nesting_world_factory();
+  auto warm = factory();
+  std::vector<util::Fingerprint> per_step;
+  run_nesting_schedule(*warm, SIZE_MAX, &per_step);
+  ASSERT_TRUE(warm->scheduler().all_done());
+  ASSERT_GT(per_step.size(), 12u);
+
+  // A second instance from the same factory, hashed cold at every prefix.
+  for (std::size_t k = 1; k <= per_step.size(); ++k) {
+    auto cold = factory();
+    run_nesting_schedule(*cold, k, nullptr);
+    EXPECT_EQ(cold->fingerprint(), per_step[k - 1]) << "prefix " << k;
+  }
+  EXPECT_EQ(warm->fingerprint(), per_step.back());  // rehash, all memos warm
+}
+
+TEST(PublishedView, WorldHashSeesFewerWordsThanAuditText) {
+  auto w = nesting_world_factory()();
+  run_nesting_schedule(*w, SIZE_MAX, nullptr);
+  CountingSink full(false);
+  CountingSink folded(true);
+  for (CountingSink* sink : {&full, &folded}) {
+    w->scheduler().state_digest(*sink);
+    w->fingerprint_extra(*sink);
+  }
+  const std::string text = w->canonical_state();
+  EXPECT_EQ(full.words,
+            static_cast<std::size_t>(std::count(text.begin(), text.end(), ' ')));
+  EXPECT_LT(folded.words, full.words);
 }
 
 // --- StateTable -----------------------------------------------------------

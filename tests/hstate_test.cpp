@@ -82,7 +82,8 @@ TEST(HState, PrefixOrder) {
 TEST(HState, HelpingRecordsDoNotAffectPrefixOrder) {
   HView a = make_hview(2);
   HView b = make_hview(2);
-  b[0].lrecords.push_back(LRecord{1, 0, std::make_shared<HView>(a)});
+  b[0].lrecords.push_back(
+      LRecord{1, 0, std::make_shared<const PublishedView>(a)});
   EXPECT_TRUE(triples_equal(a, b));
   EXPECT_TRUE(is_prefix(a, b));
   EXPECT_FALSE(is_proper_prefix(a, b));
@@ -106,16 +107,22 @@ TEST(HState, GetViewOfEmptyIsAllBottom) {
 
 TEST(HState, ReadLRecordFindsLastMatch) {
   HView h = make_hview(2);
-  auto v1 = std::make_shared<HView>(make_hview(2));
-  auto v2 = std::make_shared<HView>(make_hview(2));
+  auto v1 = std::make_shared<const PublishedView>(make_hview(2));
+  auto v2 = std::make_shared<const PublishedView>(make_hview(2));
   h[0].lrecords.push_back(LRecord{1, 3, v1});
   h[0].lrecords.push_back(LRecord{1, 4, v1});
   h[0].lrecords.push_back(LRecord{1, 3, v2});  // later write to L_{1,2}[3]
-  EXPECT_EQ(read_lrecord(h, 0, 1, 3), v2);
-  EXPECT_EQ(read_lrecord(h, 0, 1, 4), v1);
+  EXPECT_EQ(read_lrecord(h, 0, 1, 3).get(), &v2->view);
+  EXPECT_EQ(read_lrecord(h, 0, 1, 4).get(), &v1->view);
   EXPECT_EQ(read_lrecord(h, 0, 1, 5), nullptr);
   EXPECT_EQ(read_lrecord(h, 0, 0, 3), nullptr);  // wrong target
   EXPECT_EQ(read_lrecord(h, 1, 1, 3), nullptr);  // wrong writer
+
+  // The returned view shares ownership of the published record.
+  auto kept = read_lrecord(h, 0, 1, 3);
+  h[0].lrecords.clear();
+  v2.reset();
+  EXPECT_EQ(kept->size(), 2u);
 }
 
 TEST(HState, NumBuCountsBatches) {

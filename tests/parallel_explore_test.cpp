@@ -22,6 +22,7 @@
 
 #include "src/augmented/augmented_snapshot.h"
 #include "src/augmented/linearizer.h"
+#include "src/check/crash_worlds.h"
 #include "src/check/explore_core.h"
 #include "src/check/explore_merge.h"
 #include "src/check/model_check.h"
@@ -645,6 +646,49 @@ TEST(ParallelDedupe, AuditModeAcrossThreadCounts) {
         parallel_explore_schedules(last_writer_factory({3, 3, 2}, 0), opt);
     EXPECT_TRUE(res.violation.has_value()) << threads;
     EXPECT_GT(res.subtrees_pruned, 0u) << threads;
+  }
+}
+
+TEST(ParallelDedupe, AuditModeCleanOnAugmentedSnapshot) {
+  // The paper's own object, whose fingerprints fold every published
+  // helping view into a memoised digest while the audit text streams it in
+  // full: a 128-bit collision at any nesting level would throw
+  // StateFingerprintCollision.  Verdict and exhausted flag must match the
+  // undeduped run serially and at every thread count; aug-mutant is the
+  // violating control.
+  for (const char* world : {"aug-bu", "aug-mutant"}) {
+    check::CrashWorldSpec spec;
+    spec.world = world;
+    spec.f = 2;
+    spec.m = 2;
+    spec.step_budget = 6;
+    auto factory = check::make_crash_world_factory(spec);
+    ScheduleExploreOptions base;
+    base.max_crashes = 1;
+    auto plain = explore_schedules(factory, base);
+    EXPECT_EQ(plain.violation.has_value(), std::string(world) == "aug-mutant")
+        << world;  // the clean object and the firing control
+    base.dedupe_states = true;
+    base.dedupe_audit = true;
+    auto serial = explore_schedules(factory, base);
+    EXPECT_EQ(serial.violation.has_value(), plain.violation.has_value())
+        << world;
+    EXPECT_EQ(serial.exhausted, plain.exhausted) << world;
+    EXPECT_GT(serial.states_seen, 0u) << world;
+    for (std::size_t threads : {2u, 4u}) {
+      ParallelExploreOptions opt;
+      opt.base = base;
+      opt.threads = threads;
+      opt.oversubscribe = true;
+      opt.serial_probe_executions = 0;
+      auto res = parallel_explore_schedules(factory, opt);
+      const std::string what =
+          std::string(world) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(res.violation.has_value(), plain.violation.has_value())
+          << what;
+      EXPECT_EQ(res.exhausted, plain.exhausted) << what;
+      EXPECT_GT(res.states_seen, 0u) << what;
+    }
   }
 }
 
