@@ -202,40 +202,6 @@ void BM_WireRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_WireRoundtrip)->Arg(16)->Arg(64);
 
-void BM_WireFpBatchRoundtrip(benchmark::State& state) {
-  // One fingerprint pipeline exchange: encode + decode a kFpBatch of N
-  // claims and its packed kFpVerdicts bitmap.  Steady state reuses writer
-  // capacity both ways - the per-state wire cost the async pipeline
-  // amortizes over the batch.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  dist::FpBatchMsg batch;
-  for (std::size_t i = 0; i < n; ++i) {
-    batch.fps.push_back(
-        util::Fingerprint{0x9e3779b97f4a7c15ull * (i + 1), i});
-  }
-  dist::WireWriter w;
-  dist::WireWriter wv;
-  for (auto _ : state) {
-    w.clear();
-    dist::encode_fp_batch(w, batch);
-    dist::WireReader r(w.data(), w.size());
-    dist::FpBatchMsg got = dist::decode_fp_batch(r);
-    dist::FpVerdictsMsg verdicts;
-    verdicts.resize(static_cast<std::uint32_t>(got.fps.size()));
-    for (std::uint32_t i = 0; i < verdicts.count; ++i) {
-      verdicts.set(i, (i & 1) != 0);
-    }
-    wv.clear();
-    dist::encode_fp_verdicts(wv, verdicts);
-    dist::WireReader rv(wv.data(), wv.size());
-    dist::FpVerdictsMsg back = dist::decode_fp_verdicts(rv);
-    benchmark::DoNotOptimize(back.bitmap.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_WireFpBatchRoundtrip)->Arg(1)->Arg(32)->Arg(128);
-
 void BM_ChannelEnqueueFlush(benchmark::State& state) {
   // The buffered (epoll-side) send path end to end: enqueue N frames into
   // the reserve-once tx buffer, flush with one scatter-gather writev, and

@@ -371,15 +371,14 @@ bool run_instance(const std::string& name,
         Mode::kDedupe, false, true);
   }
 
-  // Dedupe over the wire: the coordinator owns the sharded fingerprint
-  // table and every claim crosses the socket.  Mode::kDedupe covers the
-  // verdict; the explicit bound below pins the dedupe contract (on an
-  // exhausted search the coordinator can only claim states the serial
-  // table also saw; a capped serial walk stops at its lex cut while
-  // workers also claim states past it, so there the ratio is only
+  // Dedupe across worker processes: each worker prunes against its own
+  // state table, and states_seen is the largest per-worker count.
+  // Mode::kDedupe covers the verdict; the explicit bound below pins the
+  // dedupe contract (on an exhausted search a worker can only claim states
+  // the serial table also saw; a capped serial walk stops at its lex cut
+  // while workers also claim states past it, so there the ratio is only
   // printed), and scaling_smoke.py gate 7 holds dist-dedupe-workers-2 to
-  // 1.3x parallel-dedupe-2 wall clock so a fingerprint service that stalls
-  // the walk on every distinct state fails CI.
+  // 1.3x parallel-dedupe-2 wall clock.
   for (std::size_t workers : {1u, 2u, 4u}) {
     dist::DistExploreOptions dopt;
     dopt.base = dedupe;

@@ -14,8 +14,7 @@
 //   revisim_cli dist-explore [--workers N | --connect H:P ...] [--world W]
 //               [--f F] [--m M] [--budget B] [--max-crashes C]
 //               [--max-steps S] [--max-executions E] [--por] [--dedupe]
-//               [--shards K] [--retries R] [--witness PATH]
-//               [--probe-interval N] [--fp-batch B] [--fp-window W]
+//               [--retries R] [--witness PATH] [--probe-interval N]
 //               [--journal PATH | --resume PATH] [--heartbeat-ms MS]
 //               [--heartbeat-timeout-ms MS] [--reconnect-ms MS]
 //               [--fault SPEC] [--coord-fault SPEC] [--halt-after-jobs N]
@@ -337,17 +336,9 @@ int run_dist_explore(int argc, char** argv) {
       opt.workers = std::strtoull(next("--workers"), nullptr, 10);
     } else if (!std::strcmp(argv[i], "--connect")) {
       endpoints.push_back(next("--connect"));
-    } else if (!std::strcmp(argv[i], "--shards")) {
-      opt.fp_shards = std::strtoull(next("--shards"), nullptr, 10);
     } else if (!std::strcmp(argv[i], "--probe-interval")) {
       opt.base.probe_interval =
           std::strtoull(next("--probe-interval"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--fp-batch")) {
-      opt.fp_batch = static_cast<std::uint32_t>(
-          std::strtoul(next("--fp-batch"), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--fp-window")) {
-      opt.fp_window = static_cast<std::uint32_t>(
-          std::strtoul(next("--fp-window"), nullptr, 10));
     } else if (!std::strcmp(argv[i], "--retries")) {
       opt.job_retries = std::strtoull(next("--retries"), nullptr, 10);
     } else if (!std::strcmp(argv[i], "--witness")) {

@@ -149,10 +149,11 @@ SubtreeResult explore_job(
   SubtreeResult res;
   const std::size_t cap = std::max<std::size_t>(options.max_executions, 1);
 
-  // Transposition table: shared when the caller supplies one (the parallel
-  // explorer), private otherwise.
+  // Transposition table: the caller's when it supplies one (the thread
+  // explorer's shared table, a distributed worker's session table),
+  // private otherwise.
   std::optional<StateTable> own_table;
-  StateStore* table = nullptr;
+  StateTable* table = nullptr;
   if (options.dedupe_states) {
     table = options.table;
     if (table == nullptr) {
@@ -162,7 +163,7 @@ SubtreeResult explore_job(
   }
   // `table` may be nulled mid-job by the adaptive kill-switch; final
   // statistics still come from the real table.
-  StateStore* stats_table = table;
+  StateTable* stats_table = table;
   std::uint64_t dedupe_lookups = 0;
   std::uint64_t dedupe_prunes = 0;
 
@@ -355,10 +356,7 @@ SubtreeResult explore_job(
           fp.hi = fp.hi * 0xc4ceb9fe1a85ec53ull + fp.lo;
         }
       }
-      // insert_at carries the node's DFS depth so pipelined stores (the
-      // distributed async fingerprint service) can track speculation along
-      // the current path; in-process tables ignore it.
-      pruned = !table->insert_at(fp, schedule.size(), canonical);
+      pruned = !table->insert(fp, canonical);
       if (options.dedupe_adaptive) {
         dedupe_lookups++;
         dedupe_prunes += pruned ? 1 : 0;

@@ -35,7 +35,7 @@
 #include "src/check/model_check.h"
 
 namespace revisim::check {
-class StateStore;
+class StateTable;
 }  // namespace revisim::check
 
 namespace revisim::check::detail {
@@ -127,10 +127,11 @@ struct SubtreeOptions {
   // Retain full canonical states and fail loudly on a 128-bit collision
   // (only read when this call creates its own table, i.e. `table == null`).
   bool dedupe_audit = false;
-  // Shared visited-state store (parallel explorer: one StateTable; the
-  // distributed worker: a remote-backed store).  Null with dedupe_states
-  // set means the walk creates a private table for its own lifetime.
-  StateStore* table = nullptr;
+  // Visited-state table that outlives the walk: the thread explorer's one
+  // shared table, or a distributed worker's table for its session.  Null
+  // with dedupe_states set means the walk creates a private table for its
+  // own lifetime.
+  StateTable* table = nullptr;
   // Adaptive dedupe kill-switch (WarmPool-style spent-vs-saved ledger):
   // fingerprinting every node is pure overhead on workloads whose states
   // are all distinct, so when a window of kDedupeAdaptWindow lookups closes

@@ -24,6 +24,7 @@ ScheduleExploreResult merge_job_results(std::vector<MergeJob>& jobs,
   for (const MergeJob& j : jobs) {
     if (j.state == MergeJob::State::kDone) {
       res.subtrees_pruned += j.result->subtrees_pruned;
+      res.states_seen = std::max(res.states_seen, j.result->states_seen);
       res.replay_steps_saved += j.result->replay_steps_saved;
       res.por_skipped += j.result->por_skipped;
       res.dependent_wakeups += j.result->dependent_wakeups;
@@ -173,7 +174,7 @@ bool JobTable::readable(const JobRecord& rec) const {
 }
 
 bool JobTable::readable(const JobRecord& rec, std::uint64_t before) const {
-  return !rec.cancelled &&
+  return fatal_.empty() && !rec.cancelled &&
          !(have_violation_ && key_less(violation_key_, rec.key)) &&
          before < cap_;
 }
@@ -220,6 +221,14 @@ bool JobTable::retry_or_fail(JobRecord& rec, std::string error,
   return true;
 }
 
+void JobTable::fail_run(JobRecord& rec, std::string error) {
+  leave(rec, JobRecord::kFailed);
+  rec.error = error;
+  if (fatal_.empty()) {
+    fatal_ = std::move(error);
+  }
+}
+
 void JobTable::cancel_descendants(JobRecord& rec,
                                   std::vector<JobRecord*>* cancelled) {
   for (JobRecord* child : rec.children) {
@@ -258,6 +267,11 @@ ScheduleExploreResult JobTable::merge(
   }
   ScheduleExploreResult res =
       merge_job_results(order, cap_, retries_ + 1, unfinished_error);
+  if (!fatal_.empty()) {
+    res.error = fatal_;
+    res.exhausted = false;
+    res.timed_out = false;
+  }
   res.jobs = order.size();
   res.steals = steals_;
   return res;

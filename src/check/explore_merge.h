@@ -36,9 +36,13 @@
 //     Global properties of the run, not of any record: jobs = every merged
 //     record (JobTable::merge), steals = records claimed by a worker other
 //     than their donor (so steals <= jobs - 1), table statistics from the
-//     shared/sharded store, which the caller overlays.  The merge only sums
-//     per-record subtrees_pruned as a default for callers without a global
-//     table.
+//     shared store, which the thread engine overlays.  Without a shared
+//     store (the distributed engine: one table per worker process) the
+//     merge's defaults stand: subtrees_pruned sums the per-record counts,
+//     and states_seen is the largest per-record snapshot - a record's
+//     snapshot is its worker's table size when the walk ended, so this is
+//     the largest per-worker distinct-state count, a lower bound on the
+//     distinct states walked.
 #pragma once
 
 #include <atomic>
@@ -85,8 +89,8 @@ struct MergeJob {
 // return point means work the run could not perform: with
 // `unfinished_error` empty that is a wall-clock truncation (timed_out);
 // nonempty, it becomes the partial summary's error - the distributed
-// coordinator's every-worker-lost path.  jobs/steals/states_seen are left
-// for the caller to overlay (see the contract above).
+// coordinator's every-worker-lost path.  jobs/steals are left for the
+// caller to overlay (see the contract above).
 ScheduleExploreResult merge_job_results(std::vector<MergeJob>& jobs,
                                         std::uint64_t cap,
                                         std::size_t attempts,
@@ -177,9 +181,9 @@ class JobTable {
   [[nodiscard]] std::uint64_t bound_before(
       const std::vector<runtime::ProcessId>& key) const;
 
-  // Can the merge still read `rec`?  Not if it was cancelled, if a
-  // violation sits at a lex-earlier key (the merge returns at or before
-  // it), or if lex-earlier regions already reach the cap.
+  // Can the merge still read `rec`?  Not after fail_run, not if it was
+  // cancelled, if a violation sits at a lex-earlier key (the merge returns
+  // at or before it), or if lex-earlier regions already reach the cap.
   [[nodiscard]] bool readable(const JobRecord& rec) const;
 
   // The walk ended (possibly partially, after an abort): the result is
@@ -199,10 +203,18 @@ class JobTable {
   bool retry_or_fail(JobRecord& rec, std::string error,
                      std::vector<JobRecord*>* cancelled = nullptr);
 
+  // An attempt failed in a way no re-run can repair: the dedupe audit
+  // found two canonical states behind one fingerprint, so every prune
+  // taken anywhere in the run is suspect.  The job fails without a retry,
+  // no record is readable afterwards (claim() aborts every pending job,
+  // running walks are aborted through readable()), and merge() reports
+  // the first such `error` with exhausted false.
+  void fail_run(JobRecord& rec, std::string error);
+
   // Marshals the non-cancelled records into merge_job_results (a failed
   // job reports retries + 1 attempts; see its contract for
-  // `unfinished_error`) and sets jobs and steals.  Table statistics are
-  // the caller's to overlay.
+  // `unfinished_error`), applies a fail_run error, and sets jobs and
+  // steals.  Shared-table statistics are the caller's to overlay.
   [[nodiscard]] ScheduleExploreResult merge(
       const std::string& unfinished_error) const;
 
@@ -224,6 +236,7 @@ class JobTable {
   std::size_t pending_ = 0;
   std::size_t running_ = 0;
   std::size_t steals_ = 0;
+  std::string fatal_;  // first fail_run error; nonempty ends the run
   // Key of the lex-smallest violation recorded so far.
   bool have_violation_ = false;
   std::vector<runtime::ProcessId> violation_key_;

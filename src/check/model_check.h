@@ -127,7 +127,7 @@ struct ScheduleExploreOptions {
   // N-th explored execution: the thread explorer's locked cap/violation
   // check (the coordinator mutex plus a scan of every job record), and the
   // distributed worker's drain of its control channel (abort requests, cap
-  // credits, fingerprint verdicts; a recvmsg syscall).  The wall-clock
+  // credits, steal requests; a recvmsg syscall).  The wall-clock
   // deadline is still checked after every execution.  The cadence only
   // delays aborts of work the merge cannot read, so results are
   // bit-identical at any value; 1 probes at every execution boundary, the
@@ -143,7 +143,13 @@ struct ScheduleExploreResult {
   bool exhausted = true;
   std::optional<std::string> violation;
   std::vector<runtime::ProcessId> witness;  // schedule of the violation
-  // Transposition-table statistics (0 with dedupe_states off).
+  // Transposition-table statistics (0 with dedupe_states off).  The
+  // serial and thread engines report their one table's distinct states;
+  // the distributed engine, whose workers each own a table, reports the
+  // largest per-worker count (the maximum of the job results' snapshots):
+  // a lower bound on the distinct states walked that never exceeds the
+  // serial count on exhausted searches.  subtrees_pruned is the table's
+  // hit count, or in the distributed engine the sum over jobs.
   std::size_t states_seen = 0;       // distinct canonical states recorded
   std::size_t subtrees_pruned = 0;   // subtrees skipped as already-seen
   // Work-distribution statistics.  The serial explorer is one job and never
@@ -173,7 +179,8 @@ struct ScheduleExploreResult {
   std::uint64_t replay_steps_saved = 0;
   // Graceful-degradation summary (parallel explorer only; the serial
   // explorer propagates exceptions and has no wall clock).  `error` carries
-  // the message of a worker job that kept throwing past its retry budget;
+  // the message of a worker job that kept throwing past its retry budget,
+  // or of a dedupe_audit collision, which is never retried;
   // `timed_out` means the wall-clock limit cut the search.  Either way the
   // counts above cover the lexicographic prefix of the tree that *was*
   // explored, and exhausted is false.

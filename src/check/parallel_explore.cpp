@@ -141,8 +141,12 @@ void run_one_worker(Coordinator& co, std::size_t worker_id,
     lk.unlock();
     std::optional<detail::SubtreeResult> walked;
     std::string failure;
+    bool collision = false;
     try {
       walked = detail::explore_job(factory, rec->prefix, sub, abort, &ctx);
+    } catch (const StateFingerprintCollision& e) {
+      failure = e.what();
+      collision = true;
     } catch (const std::exception& e) {
       failure = e.what();
     } catch (...) {
@@ -155,6 +159,9 @@ void run_one_worker(Coordinator& co, std::size_t worker_id,
       // sit past its return point) or reports the truncation they
       // represent (deadline).
       co.jobs.complete(*rec, std::move(*walked));
+    } else if (collision) {
+      // A dedupe-off re-run would hide the collision, not repair it.
+      co.jobs.fail_run(*rec, std::move(failure));
     } else {
       co.jobs.retry_or_fail(*rec, std::move(failure));
     }
@@ -205,6 +212,12 @@ ScheduleExploreResult parallel_explore_schedules(
         res.timed_out = !res.exhausted && past_deadline();
         return res;
       }
+    } catch (const StateFingerprintCollision& e) {
+      // As in a worker (JobTable::fail_run): the run ends with the error.
+      ScheduleExploreResult res;
+      res.exhausted = false;
+      res.error = e.what();
+      return res;
     } catch (...) {
       // A deterministic throw will resurface in a worker, where the retry
       // and graceful-degradation machinery owns it; a transient one is

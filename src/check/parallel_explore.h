@@ -66,7 +66,10 @@
 // job donated is cancelled, since the re-run walks its whole region again,
 // and with dedupe the re-run walks with dedupe off.  Past the budget the
 // run degrades to a partial summary (`error` set, exhausted false)
-// covering the lexicographic prefix merged before the failed job.
+// covering the lexicographic prefix merged before the failed job.  A
+// dedupe_audit collision is never retried - a dedupe-off re-run would hide
+// it - and ends the run with the collision as `error` and exhausted false
+// (JobTable::fail_run), in the serial probe as in a worker.
 // A positive `time_limit` bounds the wall clock: running jobs check it after
 // every execution, whatever the probe interval, and abort once it passes;
 // pending jobs stay unclaimed, and the merge returns a partial summary with

@@ -1,7 +1,7 @@
 #include "src/check/state_table.h"
 
-#include <cstdlib>
 #include <new>
+#include <sys/mman.h>
 #include <thread>
 
 namespace revisim::check {
@@ -23,19 +23,31 @@ StateTable::StateTable(Options options) : audit_(options.audit) {
   if (!audit_) {
     const std::size_t cap =
         round_up_pow2(options.capacity < 16 ? 16 : options.capacity);
-    // calloc: slots start zeroed (== kEmpty) without touching pages, so a
-    // search that visits a few hundred states maps a few pages of a
-    // million-slot table.
-    slots_ = static_cast<Slot*>(std::calloc(cap, sizeof(Slot)));
-    if (slots_ == nullptr) {
+    // A private anonymous mapping: the kernel zeroes it (== kEmpty) page
+    // by page as slots are claimed.  calloc did the same only until a freed
+    // table raised glibc's dynamic mmap threshold past the table's 24 MiB;
+    // from then on it carved each table from the heap and zeroed all of
+    // it, which in a forked worker is one copy-on-write fault per page.
+    // Huge pages keep a full table to a dozen faults where the kernel
+    // allows them (a no-op elsewhere).
+    const std::size_t bytes = cap * sizeof(Slot);
+    void* slots = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (slots == MAP_FAILED) {
       throw std::bad_alloc();
     }
+    ::madvise(slots, bytes, MADV_HUGEPAGE);
+    slots_ = static_cast<Slot*>(slots);
     mask_ = cap - 1;
     high_water_ = cap - cap / 8;
   }
 }
 
-StateTable::~StateTable() { std::free(slots_); }
+StateTable::~StateTable() {
+  if (slots_ != nullptr) {
+    ::munmap(slots_, (mask_ + 1) * sizeof(Slot));
+  }
+}
 
 bool StateTable::insert_lockfree(util::Fingerprint fp) {
   if (size_.load(std::memory_order_relaxed) >= high_water_) {
@@ -113,55 +125,6 @@ bool StateTable::insert(util::Fingerprint fp,
         it->second.substr(0, 128) + "...\")");
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void StateTable::insert_batch(
-    const util::Fingerprint* fps, std::size_t n, bool* was_new,
-    const std::function<std::string(std::size_t)>& canonical) {
-  if (audit_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      was_new[i] = insert(fps[i], canonical
-                                      ? std::function<std::string()>(
-                                            [&, i] { return canonical(i); })
-                                      : std::function<std::string()>{});
-    }
-    return;
-  }
-  // Warm the first probe cacheline of every entry before any CAS: the
-  // probes of a batch are independent, so issuing all the loads up front
-  // overlaps their memory latency.
-  for (std::size_t i = 0; i < n; ++i) {
-    __builtin_prefetch(&slots_[FingerprintHash{}(fps[i]) & mask_], 1, 1);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    was_new[i] = insert_lockfree(fps[i]);
-  }
-}
-
-bool StateTable::contains(util::Fingerprint fp) const noexcept {
-  if (audit_) {
-    std::lock_guard<std::mutex> lock(const_cast<std::mutex&>(audit_mu_));
-    return canon_.find(fp) != canon_.end();
-  }
-  std::size_t idx = FingerprintHash{}(fp) & mask_;
-  for (std::size_t probes = 0; probes <= mask_; ++probes) {
-    Slot& slot = slots_[idx];
-    const std::uint32_t st =
-        std::atomic_ref<std::uint32_t>(slot.state).load(
-            std::memory_order_acquire);
-    if (st == kEmpty) {
-      return false;
-    }
-    if (st == kFull &&
-        std::atomic_ref<std::uint64_t>(slot.lo).load(
-            std::memory_order_relaxed) == fp.lo &&
-        std::atomic_ref<std::uint64_t>(slot.hi).load(
-            std::memory_order_relaxed) == fp.hi) {
-      return true;
-    }
-    idx = (idx + 1) & mask_;
-  }
   return false;
 }
 

@@ -4,17 +4,19 @@
 // is a fixed-capacity open-addressing array with linear probing and a
 // per-slot publication protocol (EMPTY -> BUSY -> FULL): an insert claims an
 // empty slot with one CAS, writes the key, and release-publishes FULL, so
-// the parallel explorer's workers share one table with no locks at all and
-// the serial explorer pays a single uncontended CAS per distinct state.
+// the thread explorer's workers share one table with no locks at all, the
+// serial explorer and each distributed worker process own one, and an
+// owner pays a single uncontended CAS per distinct state.
 // The claim is synchronous - a successful insert *is* the claim-then-walk
 // handshake: whichever worker wins the CAS owns the subtree walk, and every
 // racing worker observes the published key and prunes, which is what keeps
 // parallel `states_seen` from exceeding the serial count on exhausted
 // searches (each distinct state is claimed and walked exactly once).
 //
-// Capacity is fixed at construction (a power of two).  Slots are allocated
-// zeroed through calloc, so untouched pages stay lazily mapped and tiny
-// searches do not pay for a large table.  When occupancy reaches 7/8 the
+// Capacity is fixed at construction (a power of two).  Slots live in a
+// private anonymous mapping that the kernel zeroes as pages are first
+// touched, so a search pays only for the pages its states land on, never
+// for zeroing the whole table up front.  When occupancy reaches 7/8 the
 // table *saturates*: further inserts of unseen states return true without
 // recording (the walk proceeds, nothing is pruned that was not recorded),
 // so dedupe degrades to a partial accelerant instead of failing - see
@@ -48,43 +50,7 @@ class StateFingerprintCollision : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-// Abstract visited-state store consulted by the DFS engine at every node.
-// StateTable below is the in-process implementation; the distributed
-// explorer plugs in a store that forwards first-sightings to a sharded
-// fingerprint service on the coordinator (src/dist/worker.cpp), so
-// claim-then-walk pruning extends across worker processes without the
-// engine changing.  The insert contract is StateTable::insert's: true means
-// the caller owns the subtree walk, false means prune; `canonical` is
-// invoked only when audit() is true.
-class StateStore {
- public:
-  virtual ~StateStore() = default;
-
-  virtual bool insert(util::Fingerprint fp,
-                      const std::function<std::string()>& canonical = {}) = 0;
-
-  // insert() plus the DFS depth (absolute schedule length) of the node
-  // being claimed.  The engine calls this form at its single insert site;
-  // stores that pipeline claims (the distributed async fingerprint store)
-  // use the depth to track speculation along the current DFS path.  The
-  // default ignores the depth.
-  virtual bool insert_at(util::Fingerprint fp, std::size_t depth,
-                         const std::function<std::string()>& canonical = {}) {
-    (void)depth;
-    return insert(fp, canonical);
-  }
-
-  [[nodiscard]] virtual bool audit() const noexcept = 0;
-
-  // Distinct states recorded (implementations may report a local lower
-  // bound; the coordinator owns the authoritative global count).
-  [[nodiscard]] virtual std::size_t states() const = 0;
-
-  // Pruning hits: inserts that found the state already present.
-  [[nodiscard]] virtual std::size_t hits() const noexcept = 0;
-};
-
-class StateTable final : public StateStore {
+class StateTable {
  public:
   struct Options {
     bool audit = false;  // retain canonical states, detect collisions
@@ -109,28 +75,15 @@ class StateTable final : public StateStore {
   // StateFingerprintCollision if audit finds two canonical states behind one
   // fingerprint.
   bool insert(util::Fingerprint fp,
-              const std::function<std::string()>& canonical = {}) override;
+              const std::function<std::string()>& canonical = {});
 
-  // Bulk claim-then-walk: inserts fps[0..n) and sets was_new[i] to the
-  // per-entry insert() verdict.  A prefetch pass warms every probe chain's
-  // first cacheline before the CAS pass touches any of them, so a batch
-  // from the fingerprint pipeline pays one memory round trip, not n.  In
-  // audit mode `canonical(i)` serializes entry i (falls back to per-entry
-  // insert; audit is a validation mode, not a fast path).
-  void insert_batch(const util::Fingerprint* fps, std::size_t n,
-                    bool* was_new,
-                    const std::function<std::string(std::size_t)>& canonical = {});
-
-  // Read-only membership probe: true iff fp is recorded.  Never claims.
-  [[nodiscard]] bool contains(util::Fingerprint fp) const noexcept;
-
-  [[nodiscard]] bool audit() const noexcept override { return audit_; }
+  [[nodiscard]] bool audit() const noexcept { return audit_; }
 
   // Distinct states recorded.
-  [[nodiscard]] std::size_t states() const override;
+  [[nodiscard]] std::size_t states() const;
 
   // Pruning hits: inserts that found the state already present.
-  [[nodiscard]] std::size_t hits() const noexcept override {
+  [[nodiscard]] std::size_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
   }
 
@@ -150,8 +103,8 @@ class StateTable final : public StateStore {
   // One open-addressing slot.  `state` moves EMPTY -> BUSY -> FULL exactly
   // once; lo/hi are written between the BUSY claim and the FULL release, so
   // an acquire load of FULL makes them safely readable.  Accessed through
-  // std::atomic_ref over a calloc'd array: zeroed == EMPTY, and pages are
-  // touched only as slots are claimed.
+  // std::atomic_ref over an anonymous mapping: zeroed == EMPTY, and pages
+  // are touched only as slots are claimed.
   struct Slot {
     std::uint64_t lo;
     std::uint64_t hi;

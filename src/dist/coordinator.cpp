@@ -15,13 +15,13 @@
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
 #include <unordered_map>
 #include <utility>
 
 #include "src/check/explore_core.h"
 #include "src/check/explore_merge.h"
-#include "src/check/state_table.h"
 #include "src/dist/journal.h"
 #include "src/dist/wire.h"
 #include "src/dist/worker.h"
@@ -87,6 +87,7 @@ struct Conn : PollTarget {
   Channel ch;
   std::size_t worker = 0;
   std::uint64_t session = 0;  // token the reconnecting worker echoes
+  std::uint64_t pid = 0;      // the worker's process id (HelloAck)
   WireWriter out;             // per-connection serialization buffer
   Frame in;
   FaultPlan faults;  // per-connection C->W fault plan storage
@@ -95,9 +96,12 @@ struct Conn : PollTarget {
 
   // Liveness bookkeeping.  last_sent drives ping piggybacking: ANY frame
   // advances the worker's liveness clock, so a ping goes out only when
-  // nothing else has for a full interval.
+  // nothing else has for a full interval - or when the worker itself has
+  // been silent that long (last_ping paces those), since most frames
+  // (steal requests to an idle worker, for one) draw no reply.
   Clock::time_point last_heard{};
   Clock::time_point last_sent{};
+  Clock::time_point last_ping{};
   std::uint64_t ping_nonce = 0;
   Clock::time_point phase_deadline{};  // handshake / reconnect-window expiry
   std::string death;                   // why the socket died (reconnect path)
@@ -131,6 +135,9 @@ struct CoState {
   Log* log = nullptr;
   JournalWriter* journal = nullptr;  // nullptr = journaling off
   int listen_fd = -1;                // reconnect acceptor source; -1 = none
+  // Fork mode only (nullptr otherwise): filled at shutdown with the pids
+  // of the workers sent a kShutdown.
+  std::vector<pid_t>* served = nullptr;
   int epfd = -1;
 
   check::detail::JobTable jobs;  // every record is a DistJob
@@ -140,17 +147,11 @@ struct CoState {
   bool stop = false;
   bool first_job_shipped = false;
   // Nonempty once the run lost the means to finish outstanding work (every
-  // worker disconnected, the fingerprint audit found a collision, or the
-  // halt_after_jobs hook fired); becomes the merged partial summary's error.
+  // worker disconnected, or the halt_after_jobs hook fired); becomes the
+  // merged partial summary's error.
   std::string unfinished_reason;
   std::vector<std::unique_ptr<Conn>> conns;
   std::vector<std::unique_ptr<Provisional>> provisional;
-
-  // Sharded fingerprint service (dedupe only).  Shard = top bits of fp.hi;
-  // each shard is an ordinary StateTable whose insert_batch serves one
-  // kFpBatch frame's worth of claims per call.
-  std::vector<std::unique_ptr<check::StateTable>> shards;
-  std::size_t shard_bits = 0;
 };
 
 // Poll granularity: with heartbeats armed the loop must wake often enough
@@ -219,9 +220,11 @@ void send_msg(CoState& co, Conn& conn, MsgType type, Encode encode) {
 }
 
 // Heartbeat driver, run every tick for every serving connection: throws
-// once the worker has been silent past the timeout, and pings only when no
-// other frame (job, credit, verdicts) went out for a full interval - the
-// liveness traffic piggybacks on the pipeline's own.
+// once the worker has been silent past the timeout, and pings when no
+// other frame (job, credit, steal request) went out for a full interval -
+// the liveness traffic piggybacks on the job protocol's own - or when
+// nothing came back for one.  The pong a silent worker owes surfaces a
+// dropped frame (a sequence gap) within an interval, not at the timeout.
 void heartbeat(CoState& co, Conn& conn) {
   const std::uint32_t interval = co.options->heartbeat_interval_ms;
   if (interval == 0) {
@@ -236,7 +239,10 @@ void heartbeat(CoState& co, Conn& conn) {
                     std::to_string(conn.worker) + " silent for " +
                     std::to_string(silent.count()) + "ms");
   }
-  if (now - conn.last_sent >= std::chrono::milliseconds(interval)) {
+  const auto period = std::chrono::milliseconds(interval);
+  if (now - conn.last_sent >= period ||
+      (now - conn.last_heard >= period && now - conn.last_ping >= period)) {
+    conn.last_ping = now;
     const std::uint64_t nonce = ++conn.ping_nonce;
     send_msg(co, conn, MsgType::kPing, [nonce](WireWriter& w) {
       PingMsg m;
@@ -342,9 +348,6 @@ HelloMsg make_hello(const CoState& co, std::uint32_t worker,
   hello.por = base.por;
   hello.live_interval = std::max<std::uint64_t>(co.options->live_interval, 1);
   hello.probe_interval = std::max<std::uint64_t>(base.probe_interval, 1);
-  hello.fp_batch = std::max<std::uint32_t>(co.options->fp_batch, 1);
-  hello.fp_window =
-      std::max<std::uint32_t>(co.options->fp_window, hello.fp_batch);
   if (spec != nullptr) {
     hello.world = spec->world;
     hello.f = spec->f;
@@ -468,110 +471,6 @@ void kill_provisional(CoState& co, Provisional& p) {
   p.dead = true;
 }
 
-// Sends one kFpInsert's verdict - the wire-v2 synchronous path, kept for
-// protocol completeness; v3 workers speak kFpBatch.
-void handle_fp_insert(CoState& co, Conn& conn) {
-  WireReader r = conn.in.reader();
-  FpInsertMsg msg = decode_fp_insert(r);
-  const std::size_t shard =
-      co.shard_bits == 0
-          ? 0
-          : static_cast<std::size_t>(msg.fp.hi >> (64 - co.shard_bits));
-  FpReplyMsg reply;
-  try {
-    std::function<std::string()> canonical;
-    if (msg.has_canonical) {
-      canonical = [&msg] { return msg.canonical; };
-    }
-    reply.was_new = co.shards[shard]->insert(msg.fp, canonical);
-  } catch (const check::StateFingerprintCollision& e) {
-    // The audit found two canonical states behind one fingerprint: every
-    // prune taken anywhere in this run is suspect.  Poison the run; the
-    // worker gets its reply and then an abort credit.
-    reply.was_new = true;
-    if (co.unfinished_reason.empty()) {
-      co.unfinished_reason = e.what();
-    }
-    co.stop = true;
-    push_aborts(co);
-  }
-  send_msg(co, conn, MsgType::kFpReply,
-           [&reply](WireWriter& w) { encode_fp_reply(w, reply); });
-}
-
-// Serves one kFpBatch frame: bucket the claims by shard, bulk-insert each
-// shard's slice (one prefetch-warmed probe pass per shard), scatter the
-// verdicts back into wire order and answer with one packed kFpVerdicts
-// bitmap.
-void handle_fp_batch(CoState& co, Conn& conn) {
-  WireReader r = conn.in.reader();
-  FpBatchMsg msg = decode_fp_batch(r);
-  const std::uint32_t n = static_cast<std::uint32_t>(msg.fps.size());
-  FpVerdictsMsg verdicts;
-  verdicts.resize(n);
-  std::vector<std::vector<std::uint32_t>> by_shard(
-      std::max<std::size_t>(co.shards.size(), 1));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::size_t shard =
-        co.shard_bits == 0
-            ? 0
-            : static_cast<std::size_t>(msg.fps[i].hi >> (64 - co.shard_bits));
-    by_shard[shard].push_back(i);
-  }
-  bool poisoned = false;
-  std::string poison;
-  std::vector<util::Fingerprint> fps;
-  std::unique_ptr<bool[]> was_new;
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    const std::vector<std::uint32_t>& idx = by_shard[s];
-    if (idx.empty()) {
-      continue;
-    }
-    if (poisoned) {
-      // The audit already blew up: answer was_new for the rest (the run is
-      // poisoned and aborting; no prune taken on these matters).
-      for (const std::uint32_t i : idx) {
-        verdicts.set(i, true);
-      }
-      continue;
-    }
-    fps.clear();
-    for (const std::uint32_t i : idx) {
-      fps.push_back(msg.fps[i]);
-    }
-    was_new = std::make_unique<bool[]>(idx.size());
-    std::function<std::string(std::size_t)> canonical;
-    if (msg.has_canonical) {
-      canonical = [&msg, &idx](std::size_t j) {
-        return msg.canonicals[idx[j]];
-      };
-    }
-    try {
-      co.shards[s]->insert_batch(fps.data(), idx.size(), was_new.get(),
-                                 canonical);
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        verdicts.set(idx[j], was_new[j]);
-      }
-    } catch (const check::StateFingerprintCollision& e) {
-      poisoned = true;
-      poison = e.what();
-      for (const std::uint32_t i : idx) {
-        verdicts.set(i, true);
-      }
-    }
-  }
-  if (poisoned) {
-    if (co.unfinished_reason.empty()) {
-      co.unfinished_reason = poison;
-    }
-    co.stop = true;
-    push_aborts(co);
-  }
-  send_msg(co, conn, MsgType::kFpVerdicts, [&verdicts](WireWriter& w) {
-    encode_fp_verdicts(w, verdicts);
-  });
-}
-
 // One inbound frame from a serving worker.  Throws WireError on protocol
 // violations; the caller runs the disconnect path.
 void handle_frame(CoState& co, Conn& conn) {
@@ -589,12 +488,6 @@ void handle_frame(CoState& co, Conn& conn) {
     }
     case MsgType::kPong:
       break;  // liveness bookkeeping happened at recv
-    case MsgType::kFpInsert:
-      handle_fp_insert(co, conn);
-      break;
-    case MsgType::kFpBatch:
-      handle_fp_batch(co, conn);
-      break;
     case MsgType::kLive: {
       WireReader r = conn.in.reader();
       const LiveMsg live = decode_live(r);
@@ -663,7 +556,14 @@ void handle_frame(CoState& co, Conn& conn) {
       if (rec == nullptr) {
         throw WireError("job error outside a job");
       }
-      requeue_or_fail(co, rec, msg.message);
+      if (msg.fatal) {
+        co.log->line("coordinator: job %llu failed the run (%s)",
+                     static_cast<unsigned long long>(rec->id),
+                     msg.message.c_str());
+        co.jobs.fail_run(*rec, msg.message);
+      } else {
+        requeue_or_fail(co, rec, msg.message);
+      }
       push_aborts(co);
       conn.current = nullptr;
       conn.stop_stalling = false;
@@ -691,6 +591,7 @@ void finish_handshake(CoState& co, Conn& conn) {
     return;
   }
   conn.phase = Conn::kServing;
+  conn.pid = ack.pid;
   conn.last_heard = conn.last_sent = Clock::now();
 }
 
@@ -874,6 +775,19 @@ void poke_steals(CoState& co) {
   }
 }
 
+// True once fork-mode worker process `pid` has exited: its session will
+// never re-dial.  Peeks without reaping (WNOWAIT), so reap_children still
+// collects the process.
+bool worker_exited(const CoState& co, std::uint64_t pid) {
+  if (co.served == nullptr || pid == 0) {
+    return false;
+  }
+  siginfo_t info{};
+  return ::waitid(P_PID, static_cast<id_t>(pid), &info,
+                  WEXITED | WNOHANG | WNOWAIT) == 0 &&
+         info.si_pid != 0;
+}
+
 // Timer pass, run once per epoll wakeup: run deadline, heartbeats,
 // reconnect-window and handshake expiries, the stop-stall guard, and the
 // provisional sweep.
@@ -915,7 +829,8 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
         }
         break;
       case Conn::kAwaitingReconnect:
-        if (co.stop || now >= c->phase_deadline) {
+        if (co.stop || now >= c->phase_deadline ||
+            worker_exited(co, c->pid)) {
           retire(co, *c,
                  "every worker disconnected with work outstanding (last: " +
                      c->death + ")");
@@ -940,7 +855,7 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
 
 // The coordinator: one thread, one epoll loop, every connection
 // non-blocking and buffered.  Ownership rules: the loop alone touches
-// channels, job records and the shard tables (no locks anywhere);
+// channels and job records (no locks anywhere);
 // registrations point at Conn/Provisional objects whose lifetime outlasts
 // their fd (Conns live for the whole run, Provisionals are swept only
 // between event batches, so a stale event in the current batch always
@@ -1011,6 +926,9 @@ void run_event_loop(CoState& co, const check::CrashWorldSpec* spec) {
   for (const auto& c : co.conns) {
     if (c->phase != Conn::kServing && c->phase != Conn::kHandshaking) {
       continue;
+    }
+    if (co.served != nullptr && c->phase == Conn::kServing) {
+      co.served->push_back(static_cast<pid_t>(c->pid));
     }
     send_msg(co, *c, MsgType::kShutdown, [](WireWriter&) {});
     try {
@@ -1105,22 +1023,37 @@ void load_journal(CoState& co, const DistExploreOptions& options,
       contents.dropped_tail_bytes);
 }
 
-void reap_children(const std::vector<pid_t>& kids) {
+// Collects every forked worker.  A worker that was serving at shutdown got
+// its kShutdown and exits at once; any other (re-dialing a coordinator that
+// has finished, never connected, or the run threw) is killed at once
+// rather than waited for.  The poll backs off from 50us, so a prompt exit
+// costs microseconds; a served worker still alive after the 5s grace
+// window is killed too.  Only `kids` are waited for: waitpid(-1) would
+// also reap the caller's other children.
+void reap_children(const std::vector<pid_t>& kids,
+                   const std::vector<pid_t>& served) {
   for (const pid_t pid : kids) {
-    int status = 0;
-    // Workers exit on shutdown or coordinator EOF; give each a grace
-    // window before escalating.
-    for (int spins = 0; spins < 500; ++spins) {
+    if (std::find(served.begin(), served.end(), pid) == served.end()) {
+      ::kill(pid, SIGKILL);
+    }
+  }
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  for (const pid_t pid : kids) {
+    std::chrono::microseconds pause(50);
+    for (;;) {
+      int status = 0;
       const pid_t r = ::waitpid(pid, &status, WNOHANG);
       if (r == pid || (r < 0 && errno != EINTR)) {
         break;  // reaped, or not our child anymore
       }
-      if (spins == 499) {
+      if (Clock::now() >= deadline) {
         ::kill(pid, SIGKILL);
         ::waitpid(pid, &status, 0);
         break;
       }
-      ::usleep(10 * 1000);
+      std::this_thread::sleep_for(pause);
+      pause = std::min<std::chrono::microseconds>(
+          pause * 2, std::chrono::milliseconds(10));
     }
   }
 }
@@ -1133,27 +1066,18 @@ std::string log_path_for(const char* name) {
   return std::string(dir) + "/" + name + ".log";
 }
 
-}  // namespace
-
-check::ScheduleExploreResult coordinate(
+// coordinate(); in fork mode `served` (see CoState) is non-null.
+check::ScheduleExploreResult run_coordinator(
     std::vector<int> worker_fds, const DistExploreOptions& options,
     const check::CrashWorldSpec* spec, int reconnect_listen_fd,
-    const std::vector<std::pair<std::string, std::uint16_t>>* endpoints) {
+    const std::vector<std::pair<std::string, std::uint16_t>>* endpoints,
+    std::vector<pid_t>* served) {
   check::validate(options.base);
   if (worker_fds.empty()) {
     throw std::invalid_argument("dist: coordinate needs at least one worker");
   }
   if (options.resume && options.journal_path.empty()) {
     throw std::invalid_argument("dist: resume needs a journal path");
-  }
-  if (options.fp_batch < 1) {
-    throw std::invalid_argument("dist: fp_batch must be >= 1");
-  }
-  if (options.fp_window < options.fp_batch) {
-    throw std::invalid_argument(
-        "dist: fp_window (" + std::to_string(options.fp_window) +
-        ") must be >= fp_batch (" + std::to_string(options.fp_batch) +
-        "): the outstanding window must hold at least one full batch");
   }
 
   Log log(log_path_for("coordinator"));
@@ -1162,20 +1086,9 @@ check::ScheduleExploreResult coordinate(
   CoState co(cap, options);
   co.log = &log;
   co.listen_fd = options.reconnect_window_ms > 0 ? reconnect_listen_fd : -1;
+  co.served = served;
   if (options.time_limit.count() > 0) {
     co.deadline = Clock::now() + options.time_limit;
-  }
-  if (options.base.dedupe_states) {
-    std::size_t shards = std::max<std::size_t>(options.fp_shards, 1);
-    co.shard_bits = 0;
-    while ((std::size_t{1} << co.shard_bits) < shards && co.shard_bits < 8) {
-      ++co.shard_bits;
-    }
-    const std::size_t n = std::size_t{1} << co.shard_bits;
-    for (std::size_t i = 0; i < n; ++i) {
-      co.shards.push_back(std::make_unique<check::StateTable>(
-          check::StateTable::Options{.audit = options.base.dedupe_audit}));
-    }
   }
 
   // Adopt the sockets into Conn channels FIRST: any throw below (a resume
@@ -1228,12 +1141,11 @@ check::ScheduleExploreResult coordinate(
   }
   log.line(
       "coordinator: %zu worker(s), cap=%llu, dedupe=%d, por=%d, "
-      "heartbeat=%ums/%ums, reconnect=%ums, fp_batch=%u/%u, journal=%s, "
-      "faults=%s",
+      "heartbeat=%ums/%ums, reconnect=%ums, journal=%s, faults=%s",
       co.conns.size(), static_cast<unsigned long long>(cap),
       options.base.dedupe_states ? 1 : 0, options.base.por ? 1 : 0,
       options.heartbeat_interval_ms, options.heartbeat_timeout_ms,
-      options.reconnect_window_ms, options.fp_batch, options.fp_window,
+      options.reconnect_window_ms,
       options.journal_path.empty() ? "off" : options.journal_path.c_str(),
       fault_plan_text(options.coordinator_faults).c_str());
 
@@ -1253,23 +1165,14 @@ check::ScheduleExploreResult coordinate(
   }
   journal.close();
 
+  // states_seen and subtrees_pruned are the merge's worker-table figures
+  // (explore_merge.h): the largest per-worker state count, summed prunes.
   check::ScheduleExploreResult res = co.jobs.merge(co.unfinished_reason);
-  if (!co.shards.empty()) {
-    // The shard sums are the authoritative distinct-state count; workers
-    // report only their local cache's lower bound.  subtrees_pruned stays
-    // the per-job sum from the merge: worker-local cache hits never reach
-    // the shards, so the job counters see strictly more prunes.
-    std::size_t states = 0;
-    for (const auto& s : co.shards) {
-      states += s->states();
-    }
-    res.states_seen = states;
-  }
   if (!co.unfinished_reason.empty() && !res.error.has_value() &&
       !res.timed_out) {
-    // Every record resolved before the poison landed (e.g. an audit
-    // collision raced the last result): the numbers merged, but no prune
-    // in them is trustworthy.
+    // Every record resolved before the stop landed (the halt hook fired on
+    // the last result): the numbers merged, but the run did not end on its
+    // own.
     res.error = co.unfinished_reason;
     res.exhausted = false;
   }
@@ -1278,6 +1181,16 @@ check::ScheduleExploreResult coordinate(
            res.jobs, res.executions, res.exhausted ? 1 : 0,
            res.violation.has_value() ? 1 : 0, res.steals);
   return res;
+}
+
+}  // namespace
+
+check::ScheduleExploreResult coordinate(
+    std::vector<int> worker_fds, const DistExploreOptions& options,
+    const check::CrashWorldSpec* spec, int reconnect_listen_fd,
+    const std::vector<std::pair<std::string, std::uint16_t>>* endpoints) {
+  return run_coordinator(std::move(worker_fds), options, spec,
+                         reconnect_listen_fd, endpoints, nullptr);
 }
 
 check::ScheduleExploreResult dist_explore_schedules(
@@ -1298,10 +1211,7 @@ check::ScheduleExploreResult dist_explore_schedules(
   for (std::size_t i = 0; i < options.workers; ++i) {
     const pid_t pid = ::fork();
     if (pid < 0) {
-      for (const pid_t k : kids) {
-        ::kill(k, SIGKILL);
-      }
-      reap_children(kids);
+      reap_children(kids, {});
       ::close(listen_fd);
       throw WireError("fork failed");
     }
@@ -1344,17 +1254,20 @@ check::ScheduleExploreResult dist_explore_schedules(
   // and the coordinator's epoll loop re-handshakes them.
   check::ScheduleExploreResult res;
   std::exception_ptr failure;
+  std::vector<pid_t> served;
   if (fds.empty()) {
     failure = std::make_exception_ptr(WireError("no worker connected"));
   } else {
     try {
-      res = coordinate(std::move(fds), options, nullptr, listen_fd);
+      res = run_coordinator(std::move(fds), options, nullptr, listen_fd,
+                            nullptr, &served);
     } catch (...) {
       failure = std::current_exception();
+      served.clear();  // the workers got no shutdown
     }
   }
   ::close(listen_fd);
-  reap_children(kids);
+  reap_children(kids, served);
   if (failure) {
     std::rethrow_exception(failure);
   }

@@ -6,10 +6,15 @@
 // credit messages, and the final accounting is the identical key-sorted
 // merge (src/check/explore_merge.h) - so executions / exhausted / verdict /
 // lex-smallest witness stay bit-identical to the serial engine at any
-// worker count, with dedupe off.  With dedupe on, the coordinator hosts a
-// sharded-by-fingerprint-prefix StateTable service, extending
-// claim-then-walk pruning across worker processes (verdict parity;
-// states_seen bounded by the serial count on exhausted searches).
+// worker count, with dedupe off.  With dedupe on, each worker process
+// prunes against its own StateTable only (src/dist/worker.h); the
+// coordinator holds no state table.  The verdict matches the serial
+// engine's; executions vary with how jobs land on workers.  states_seen
+// is the largest per-worker count - the maximum of the states_seen
+// snapshots in the job results - a lower bound on the distinct states
+// walked that never exceeds the serial count on exhausted searches.  A
+// dedupe_audit collision in any worker ends the run with `error` set and
+// exhausted false.
 //
 // Failure semantics (the full fault x detector x recovery x guarantee
 // matrix lives in DESIGN.md):
@@ -23,14 +28,15 @@
 //     CANCELLED, recursively, because the re-run walks the job's full
 //     original region - so requeue preserves bit-exact merge accounting
 //     even after donations.  With dedupe_states on, the lost attempt's
-//     claim-then-walk claims survive in the shard table, so the re-run
-//     (and every region it donates, recursively) executes with dedupe off
-//     - it can never be pruned by an orphaned claim, so nothing is
-//     under-explored, and states_seen stays bounded by the serial count.
+//     claims survive in its worker's table, so the re-run (and every
+//     region it donates, recursively) executes with dedupe off - it walks
+//     every state the lost attempt claimed, so nothing that pruned against
+//     those claims is under-explored.
 //   - The worker keeps its session: it re-dials with backoff and
 //     re-handshakes under its prior session token, and the coordinator's
 //     acceptor hands the fresh socket back to the waiting serve thread
-//     (reconnect_window_ms bounds the wait).  In-flight live-counter
+//     (reconnect_window_ms bounds the wait; a fork-mode worker whose
+//     process has exited is retired at once).  In-flight live-counter
 //     credit is zeroed on requeue, never double counted.
 //   - A run journal (journal_path) records created jobs and completed
 //     walks; after a coordinator crash, resume=true reloads it, reuses
@@ -61,15 +67,6 @@ struct DistExploreOptions {
   std::size_t job_retries = 2;   // re-queues after a lost or throwing job
   std::chrono::milliseconds time_limit{0};  // 0 = unlimited
   std::uint64_t live_interval = 256;  // executions between kLive messages
-  std::size_t fp_shards = 4;     // fingerprint-service shards (dedupe only)
-  // Fingerprint pipeline (dedupe only): workers batch first-sighting
-  // claims into kFpBatch frames of up to fp_batch fingerprints and keep
-  // descending speculatively while at most fp_window claims are awaiting
-  // kFpVerdicts; a duplicate verdict cancels the speculative subtree.
-  // fp_batch 1 degenerates to per-state round trips; fp_window must be
-  // >= fp_batch.
-  std::uint32_t fp_batch = 32;
-  std::uint32_t fp_window = 128;
   // Turn the hungry hint into kStealReq RPCs.  Off, the tree is never
   // split: one worker walks the seed job alone while the rest idle -
   // useful when jobs are tiny relative to wire latency, and for tests
@@ -134,7 +131,8 @@ check::ScheduleExploreResult coordinate(
 
 // Single-binary localhost mode: forks `options.workers` worker processes
 // connected over loopback TCP, coordinates the run, shuts the workers down
-// and reaps them.  Fork happens before any coordinator thread starts, so
+// and reaps them (a worker that was not serving at shutdown is killed, not
+// waited for).  Fork happens before any coordinator thread starts, so
 // the mode is safe under TSan.  The listener stays open for the run so
 // lost workers can re-dial.  This is what tests, the benchmark and
 // `revisim_cli dist-explore --workers N` use.

@@ -88,11 +88,6 @@ void WireWriter::schedule(const std::vector<ProcessId>& entries) {
   }
 }
 
-void WireWriter::fingerprint(util::Fingerprint fp) {
-  u64(fp.hi);
-  u64(fp.lo);
-}
-
 // --- WireReader --------------------------------------------------------------
 
 void WireReader::need(std::size_t n) const {
@@ -159,19 +154,6 @@ std::vector<ProcessId> WireReader::schedule() {
   return v;
 }
 
-util::Fingerprint WireReader::fingerprint() {
-  util::Fingerprint fp;
-  fp.hi = u64();
-  fp.lo = u64();
-  return fp;
-}
-
-void WireReader::raw(std::uint8_t* out, std::size_t n) {
-  need(n);
-  std::copy(p_ + off_, p_ + off_ + n, out);
-  off_ += n;
-}
-
 void WireReader::expect_done() const {
   if (off_ != size_) {
     throw WireError("trailing bytes in wire payload (" +
@@ -202,8 +184,6 @@ void encode_hello(WireWriter& w, const HelloMsg& m) {
   w.u64(m.m);
   w.u64(m.step_budget);
   w.u64(m.probe_interval);
-  w.u32(m.fp_batch);
-  w.u32(m.fp_window);
 }
 
 HelloMsg decode_hello(WireReader& r) {
@@ -234,8 +214,6 @@ HelloMsg decode_hello(WireReader& r) {
   m.m = r.u64();
   m.step_budget = r.u64();
   m.probe_interval = r.u64();
-  m.fp_batch = r.u32();
-  m.fp_window = r.u32();
   r.expect_done();
   return m;
 }
@@ -247,6 +225,7 @@ void encode_hello_ack(WireWriter& w, const HelloAckMsg& m) {
   w.str(m.error);
   w.u8(m.resume ? 1 : 0);
   w.u64(m.session);
+  w.u64(m.pid);
 }
 
 HelloAckMsg decode_hello_ack(WireReader& r) {
@@ -263,6 +242,7 @@ HelloAckMsg decode_hello_ack(WireReader& r) {
   m.error = r.str();
   m.resume = r.u8() != 0;
   m.session = r.u64();
+  m.pid = r.u64();
   r.expect_done();
   return m;
 }
@@ -351,12 +331,14 @@ JobResultMsg decode_job_result(WireReader& r) {
 void encode_job_error(WireWriter& w, const JobErrorMsg& m) {
   w.u64(m.id);
   w.str(m.message);
+  w.u8(m.fatal ? 1 : 0);
 }
 
 JobErrorMsg decode_job_error(WireReader& r) {
   JobErrorMsg m;
   m.id = r.u64();
   m.message = r.str();
+  m.fatal = r.u8() != 0;
   r.expect_done();
   return m;
 }
@@ -407,90 +389,6 @@ CreditMsg decode_credit(WireReader& r) {
   m.id = r.u64();
   m.budget = r.u64();
   m.abort = r.u8() != 0;
-  r.expect_done();
-  return m;
-}
-
-void encode_fp_insert(WireWriter& w, const FpInsertMsg& m) {
-  w.fingerprint(m.fp);
-  w.u8(m.has_canonical ? 1 : 0);
-  w.str(m.canonical);
-}
-
-FpInsertMsg decode_fp_insert(WireReader& r) {
-  FpInsertMsg m;
-  m.fp = r.fingerprint();
-  m.has_canonical = r.u8() != 0;
-  m.canonical = r.str();
-  r.expect_done();
-  return m;
-}
-
-void encode_fp_reply(WireWriter& w, const FpReplyMsg& m) {
-  w.u8(m.was_new ? 1 : 0);
-}
-
-FpReplyMsg decode_fp_reply(WireReader& r) {
-  FpReplyMsg m;
-  m.was_new = r.u8() != 0;
-  r.expect_done();
-  return m;
-}
-
-void encode_fp_batch(WireWriter& w, const FpBatchMsg& m) {
-  if (m.fps.size() > kMaxFrameBytes / 16) {
-    throw WireError("fingerprint batch too large to serialize");
-  }
-  if (m.has_canonical && m.canonicals.size() != m.fps.size()) {
-    throw WireError("fingerprint batch canonical count mismatch");
-  }
-  w.u32(static_cast<std::uint32_t>(m.fps.size()));
-  for (const util::Fingerprint fp : m.fps) {
-    w.fingerprint(fp);
-  }
-  w.u8(m.has_canonical ? 1 : 0);
-  if (m.has_canonical) {
-    for (const std::string& c : m.canonicals) {
-      w.str(c);
-    }
-  }
-}
-
-FpBatchMsg decode_fp_batch(WireReader& r) {
-  FpBatchMsg m;
-  const std::uint32_t n = r.u32();
-  r.need_ahead(static_cast<std::size_t>(n) * 16);
-  m.fps.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    m.fps.push_back(r.fingerprint());
-  }
-  m.has_canonical = r.u8() != 0;
-  if (m.has_canonical) {
-    m.canonicals.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      m.canonicals.push_back(r.str());
-    }
-  }
-  r.expect_done();
-  return m;
-}
-
-void encode_fp_verdicts(WireWriter& w, const FpVerdictsMsg& m) {
-  if (m.bitmap.size() != (static_cast<std::size_t>(m.count) + 7) / 8) {
-    throw WireError("verdict bitmap length disagrees with verdict count");
-  }
-  w.u32(m.count);
-  w.data(m.bitmap.data(), m.bitmap.size());
-}
-
-FpVerdictsMsg decode_fp_verdicts(WireReader& r) {
-  FpVerdictsMsg m;
-  m.count = r.u32();
-  const std::size_t bytes = (static_cast<std::size_t>(m.count) + 7) / 8;
-  m.bitmap.resize(bytes);
-  r.raw(m.bitmap.data(), bytes);
-  // A bitmap longer than the count claims verdicts for entries that do not
-  // exist; expect_done rejects the trailing bytes.
   r.expect_done();
   return m;
 }

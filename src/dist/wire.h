@@ -7,7 +7,7 @@
 // warm worlds (the worker re-replays the prefix into its own checkpoint
 // pool) - so the encoding below is a straight transcription.
 //
-// Encoding rules, version 3:
+// Encoding rules, version 4:
 //   - All integers are fixed-width little-endian, written byte by byte
 //     (shift/mask), so the format is identical across host endianness and
 //     word size.
@@ -17,7 +17,6 @@
 //     the pid, a crash entry is the target pid with bit 63 set.  Decoding
 //     rejects pids that do not fit the host ProcessId.
 //   - Sequences are u32 count + items; strings are u32 length + raw bytes.
-//   - Fingerprints are hi u64 + lo u64.
 //   - A frame is [u32 payload length][u8 message type][u32 sequence]
 //     [u32 crc][payload].  The sequence number counts frames per direction
 //     from 0; the crc is CRC-32 over type + sequence + payload.  A crc
@@ -37,12 +36,15 @@
 //                     factory), live-counter interval
 //   kHelloAck   W->C  magic, version, ok flag + error text (unknown world,
 //                     version skew), resume flag + session token (a
-//                     reconnecting worker echoes its prior session)
+//                     reconnecting worker echoes its prior session), the
+//                     worker's process id
 //   kJob        C->W  job id, execution budget, fault_after (test
 //                     instrumentation), prefix, choices, sleep pids,
 //                     no_dedupe flag (re-run of a lost deduped attempt)
 //   kJobResult  W->C  job id + the full SubtreeResult summary
-//   kJobError   W->C  job id + exception text (retry/degradation path)
+//   kJobError   W->C  job id + exception text + fatal flag (retry /
+//                     degradation path; fatal = a dedupe-audit collision,
+//                     which ends the run instead of re-queueing the job)
 //   kLive       W->C  job id + executions so far (cap-credit input)
 //   kDonate     W->C  parent job id + a donated (prefix, choices, sleep)
 //                     region, the steal-request response
@@ -50,20 +52,12 @@
 //                     the job entirely (lex-earlier regions secured the
 //                     cap, or a lex-earlier violation)
 //   kStealReq   C->W  empty; asks the worker to split its current job
-//   kFpInsert   W->C  fingerprint + optional canonical state text (audit);
-//                     first local sighting, forwarded to the shard service
-//                     (v2 synchronous path, kept for one-off inserts)
-//   kFpReply    C->W  was_new flag (claim-then-walk verdict)
-//   kFpBatch    W->C  a window of fingerprints in one frame (+ parallel
-//                     canonical texts in audit mode); the async pipeline's
-//                     claim request
-//   kFpVerdicts C->W  packed was_new bitmap, bit i answering entry i of the
-//                     oldest unanswered kFpBatch (batches are answered
-//                     strictly in order)
 //   kShutdown   C->W  empty; the run is over
 //   kPing       both  liveness probe with an echo nonce; legal at any
 //                     protocol point, answered with kPong
 //   kPong       both  echo of a kPing nonce
+// Type codes 10, 11, 15 and 16 belonged to the fingerprint-service
+// messages of versions 2-3 and stay unassigned.
 #pragma once
 
 #include <chrono>
@@ -74,7 +68,6 @@
 
 #include "src/check/explore_core.h"
 #include "src/runtime/trace.h"
-#include "src/util/fingerprint.h"
 
 namespace revisim::dist {
 
@@ -84,7 +77,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4d535652u;  // "RVSM"
-inline constexpr std::uint16_t kWireVersion = 3;
+inline constexpr std::uint16_t kWireVersion = 4;
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 // [u32 len][u8 type][u32 seq][u32 crc]
 inline constexpr std::size_t kFrameHeaderBytes = 13;
@@ -99,13 +92,9 @@ enum class MsgType : std::uint8_t {
   kDonate = 7,
   kCredit = 8,
   kStealReq = 9,
-  kFpInsert = 10,
-  kFpReply = 11,
   kShutdown = 12,
   kPing = 13,
   kPong = 14,
-  kFpBatch = 15,
-  kFpVerdicts = 16,
 };
 
 // --- schedule entries --------------------------------------------------------
@@ -132,10 +121,6 @@ class WireWriter {
   void str(const std::string& v);
   void entry(runtime::ProcessId e) { u64(entry_to_wire(e)); }
   void schedule(const std::vector<runtime::ProcessId>& entries);
-  void fingerprint(util::Fingerprint fp);
-  void data(const std::uint8_t* p, std::size_t n) {
-    buf_.insert(buf_.end(), p, p + n);
-  }
 
   [[nodiscard]] const std::uint8_t* data() const { return buf_.data(); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -158,14 +143,9 @@ class WireReader {
   std::string str();
   runtime::ProcessId entry() { return entry_from_wire(u64()); }
   std::vector<runtime::ProcessId> schedule();
-  util::Fingerprint fingerprint();
-  void raw(std::uint8_t* out, std::size_t n);
 
   [[nodiscard]] bool done() const { return off_ == size_; }
   void expect_done() const;
-  // Pre-check that `n` bytes remain, without consuming them - rejects a
-  // corrupt element count before it becomes a huge reserve().
-  void need_ahead(std::size_t n) const { need(n); }
 
  private:
   void need(std::size_t n) const;
@@ -201,11 +181,6 @@ struct HelloMsg {
   // `probe_interval`-th abort probe (ScheduleExploreOptions::probe_interval,
   // validated >= 1).
   std::uint64_t probe_interval = 16;
-  // Fingerprint pipeline: claims ship in kFpBatch frames of up to fp_batch
-  // entries, and at most fp_window claims may be awaiting verdicts before
-  // the worker blocks (the bounded speculation window).
-  std::uint32_t fp_batch = 32;
-  std::uint32_t fp_window = 128;
   // Registry world (src/check/crash_worlds.h) for cluster workers; an empty
   // name means the worker holds the factory already (fork mode).
   std::string world;
@@ -221,6 +196,9 @@ struct HelloAckMsg {
   // then carries the prior token (otherwise it echoes hello.session).
   bool resume = false;
   std::uint64_t session = 0;
+  // The worker's process id.  A fork-mode coordinator uses it to tell a
+  // worker that exited from one that may still re-dial.
+  std::uint64_t pid = 0;
 };
 
 struct JobMsg {
@@ -233,9 +211,10 @@ struct JobMsg {
   // Leading entries of `sleep` that are inherited sleepers (wakeup-counting)
   // rather than the donor's explored elder siblings; see Donation.
   std::uint32_t sleep_inherited = 0;
-  // Re-run of a job whose previous attempt died mid-walk with dedupe on:
+  // Re-run of a job whose previous attempt failed mid-walk with dedupe on:
   // the worker must walk the whole region unpruned (and donate it onward
-  // unpruned), because the lost attempt's fingerprint claims have no owner.
+  // unpruned), because the failed attempt's claims in its worker's table
+  // name states it never walked.
   bool no_dedupe = false;
 };
 
@@ -247,6 +226,9 @@ struct JobResultMsg {
 struct JobErrorMsg {
   std::uint64_t id = 0;
   std::string message;
+  // The dedupe audit found a fingerprint collision: no re-run can repair
+  // the run (JobTable::fail_run).
+  bool fatal = false;
 };
 
 struct LiveMsg {
@@ -266,48 +248,6 @@ struct CreditMsg {
   std::uint64_t id = 0;
   std::uint64_t budget = 0;  // remaining executions; ignored when abort
   bool abort = false;
-};
-
-struct FpInsertMsg {
-  util::Fingerprint fp;
-  bool has_canonical = false;  // audit mode ships the canonical state text
-  std::string canonical;
-};
-
-struct FpReplyMsg {
-  bool was_new = false;
-};
-
-struct FpBatchMsg {
-  std::vector<util::Fingerprint> fps;
-  // Audit mode ships canonical state texts parallel to `fps`; decode
-  // rejects a canonical list whose length disagrees with the batch.
-  bool has_canonical = false;
-  std::vector<std::string> canonicals;
-};
-
-struct FpVerdictsMsg {
-  // Number of verdicts; must equal the oldest unanswered batch's size.
-  std::uint32_t count = 0;
-  // ceil(count / 8) bytes; bit i (little-endian within each byte) is the
-  // was_new verdict for batch entry i.  encode/decode reject a bitmap
-  // whose length disagrees with `count`.
-  std::vector<std::uint8_t> bitmap;
-
-  [[nodiscard]] bool was_new(std::uint32_t i) const {
-    return (bitmap[i >> 3] >> (i & 7)) & 1u;
-  }
-  void set(std::uint32_t i, bool v) {
-    if (v) {
-      bitmap[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
-    } else {
-      bitmap[i >> 3] &= static_cast<std::uint8_t>(~(1u << (i & 7)));
-    }
-  }
-  void resize(std::uint32_t n) {
-    count = n;
-    bitmap.assign((n + 7) / 8, 0);
-  }
 };
 
 struct PingMsg {
@@ -342,14 +282,6 @@ void encode_donate(WireWriter& w, const DonateMsg& m);
 [[nodiscard]] DonateMsg decode_donate(WireReader& r);
 void encode_credit(WireWriter& w, const CreditMsg& m);
 [[nodiscard]] CreditMsg decode_credit(WireReader& r);
-void encode_fp_insert(WireWriter& w, const FpInsertMsg& m);
-[[nodiscard]] FpInsertMsg decode_fp_insert(WireReader& r);
-void encode_fp_reply(WireWriter& w, const FpReplyMsg& m);
-[[nodiscard]] FpReplyMsg decode_fp_reply(WireReader& r);
-void encode_fp_batch(WireWriter& w, const FpBatchMsg& m);
-[[nodiscard]] FpBatchMsg decode_fp_batch(WireReader& r);
-void encode_fp_verdicts(WireWriter& w, const FpVerdictsMsg& m);
-[[nodiscard]] FpVerdictsMsg decode_fp_verdicts(WireReader& r);
 void encode_ping(WireWriter& w, const PingMsg& m);
 [[nodiscard]] PingMsg decode_ping(WireReader& r);
 void encode_pong(WireWriter& w, const PongMsg& m);

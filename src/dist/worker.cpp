@@ -6,10 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <exception>
-#include <limits>
-#include <optional>
 #include <unistd.h>
 #include <utility>
 #include <vector>
@@ -54,12 +51,10 @@ class Log {
   std::FILE* file_ = nullptr;
 };
 
-class RemoteStateStore;
-
 // One coordinator session: the channel (socket + framing state), the reused
 // serialization buffers, and the control flags the message pump feeds into
 // the running job.  The session OUTLIVES individual connections: run_worker
-// re-dials on loss and the warm pool, dedupe cache, session token and
+// re-dials on loss and the warm pool, dedupe table, session token and
 // one-shot fault state all carry over.
 struct Session {
   Channel ch;
@@ -79,11 +74,6 @@ struct Session {
   bool abort_job = false;                // kCredit abort / shutdown
   bool steal_wanted = false;             // kStealReq pending, cleared on donate
   bool shutdown = false;
-
-  // Armed while dedupe is on: kFpVerdicts frames route here from
-  // handle_control, so verdicts can be consumed by every pump site (the
-  // abort probe, the blocking drains, the between-jobs serve loop).
-  RemoteStateStore* fp_store = nullptr;
 };
 
 bool handle_control(Session& s, const Frame& f);
@@ -131,246 +121,6 @@ void pump(Session& s) {
   check_liveness(s);
 }
 
-// Worker-side visited-state store, pipelined: first sightings are batched
-// into kFpBatch frames and claimed at the coordinator's sharded fingerprint
-// service *asynchronously* - the DFS keeps descending while up to fp_window
-// claims are awaiting their packed kFpVerdicts bitmap, instead of stalling
-// a full round trip per distinct state.  A local StateTable still caches
-// every sighting so repeats prune without touching the wire.
-//
-// Speculation is kept sound by one invariant: a claim (local insert + batch
-// enqueue) is made ONLY when no unverdicted speculative ancestor is on the
-// current DFS path, so `spec_` holds at most one entry.  Below an
-// unverdicted speculative node dedupe runs claim-off (read-only contains()
-// pruning only), which can never orphan a shard claim.  When the verdict
-// for the on-path speculative node comes back:
-//   - was_new: the walk was right all along; claiming resumes below it.
-//   - duplicate: the subtree is a transposition - cancel_floor_ prunes
-//     every deeper node until DFS preorder re-surfaces at or above the
-//     cancelled depth (the walked part is a sound overcount; no claims
-//     were made inside it, so nothing is orphaned).
-// A verdict whose node was already popped needs no action: its subtree is
-// fully walked, again a sound overcount.  On all-distinct workloads every
-// verdict is was_new, nothing cancels, and the walk is bit-identical to
-// the synchronous protocol's.
-class RemoteStateStore final : public check::StateStore {
- public:
-  explicit RemoteStateStore(Session& session)
-      : session_(session), local_(check::StateTable::Options{.audit = false}) {
-    session_.fp_store = this;
-  }
-  ~RemoteStateStore() override { session_.fp_store = nullptr; }
-
-  bool insert(util::Fingerprint fp,
-              const std::function<std::string()>& canonical = {}) override {
-    // The DFS engine calls insert_at; treat a depthless insert as deeper
-    // than any speculative ancestor (claim-off under speculation).
-    return insert_at(fp, std::numeric_limits<std::size_t>::max(), canonical);
-  }
-
-  bool insert_at(util::Fingerprint fp, std::size_t depth,
-                 const std::function<std::string()>& canonical = {}) override {
-    if (!sent_batches_.empty()) {
-      poll_frames();  // retire any verdicts already on the socket
-    }
-    if (cancel_floor_.has_value()) {
-      if (depth > *cancel_floor_) {
-        return false;  // still inside the cancelled duplicate subtree
-      }
-      cancel_floor_.reset();  // preorder left the subtree; dedupe resumes
-    }
-    if (spec_.has_value()) {
-      if (depth <= spec_->depth) {
-        // Backtracked past the speculative node before its verdict came
-        // in: its subtree is fully walked, so a late duplicate verdict
-        // must not cancel anything - drop the on-path marker.
-        spec_.reset();
-      } else {
-        // Below an unverdicted speculative ancestor: a claim here could be
-        // orphaned if the ancestor cancels, so dedupe is claim-off - only
-        // the read-only local cache may prune.  Flush the partial batch so
-        // the ancestor's verdict round trip overlaps this descent.
-        flush_batch();
-        if (local_.contains(fp)) {
-          ++hits_;
-          return false;
-        }
-        return true;
-      }
-    }
-    if (!local_.insert(fp)) {
-      ++hits_;
-      return false;
-    }
-    // First local sighting: enqueue the claim and walk speculatively.
-    batch_.fps.push_back(fp);
-    if (audit()) {
-      batch_.has_canonical = true;
-      batch_.canonicals.push_back(canonical ? canonical() : std::string{});
-    }
-    spec_ = Spec{next_claim_id_++, depth};
-    if (batch_.fps.size() >=
-        std::max<std::uint32_t>(session_.hello.fp_batch, 1)) {
-      flush_batch();
-    }
-    if (outstanding() >= std::max<std::uint32_t>(session_.hello.fp_window, 1)) {
-      // Window full: the pipeline is as deep as negotiated; block until
-      // the oldest batch's verdicts land.
-      flush_batch();
-      while (outstanding() >=
-             std::max<std::uint32_t>(session_.hello.fp_window, 1)) {
-        drain_one();
-      }
-    }
-    return true;
-  }
-
-  // FIFO verdict retirement: `count` must equal the oldest in-flight
-  // batch's size (claims carry no explicit ids on the wire; both sides
-  // count).
-  void on_verdicts(const FpVerdictsMsg& m) {
-    if (sent_batches_.empty() || m.count != sent_batches_.front()) {
-      throw WireError(
-          "fingerprint verdict count " + std::to_string(m.count) +
-          " does not match the oldest in-flight batch (" +
-          (sent_batches_.empty() ? std::string("none")
-                                 : std::to_string(sent_batches_.front())) +
-          ")");
-    }
-    sent_batches_.pop_front();
-    for (std::uint32_t i = 0; i < m.count; ++i) {
-      const std::uint64_t id = next_verdict_id_++;
-      const bool was_new = m.was_new(i);
-      if (!was_new) {
-        ++hits_;
-      }
-      if (spec_.has_value() && spec_->id == id) {
-        if (!was_new) {
-          cancel_floor_ = spec_->depth;  // duplicate: cancel the subtree
-        }
-        spec_.reset();
-      }
-    }
-  }
-
-  // Abort-probe hook: push any partial batch out so claims never sit
-  // unflushed longer than one probe interval.
-  void flush_partial() { flush_batch(); }
-
-  // Blocks until every claim has its verdict; called before kJobResult /
-  // kJobError so no fingerprint traffic straddles a job boundary.
-  void end_job() {
-    flush_batch();
-    while (next_verdict_id_ != next_claim_id_) {
-      drain_one();
-    }
-    spec_.reset();
-    cancel_floor_.reset();
-  }
-
-  // A reconnect abandons the connection the in-flight batches were sent
-  // on; the verdict pipeline restarts from zero (the local cache and its
-  // already-recorded answers survive).
-  void reset_pipeline() {
-    batch_.fps.clear();
-    batch_.canonicals.clear();
-    batch_.has_canonical = false;
-    sent_batches_.clear();
-    next_claim_id_ = 0;
-    next_verdict_id_ = 0;
-    spec_.reset();
-    cancel_floor_.reset();
-  }
-
-  [[nodiscard]] bool audit() const noexcept override {
-    return session_.hello.dedupe_audit;
-  }
-
-  // Local lower bound; the coordinator owns the global count (shard sums).
-  [[nodiscard]] std::size_t states() const override { return local_.states(); }
-
-  [[nodiscard]] std::size_t hits() const noexcept override { return hits_; }
-
- private:
-  struct Spec {
-    std::uint64_t id = 0;     // claim id awaiting its verdict
-    std::size_t depth = 0;    // DFS depth of the speculative node
-  };
-
-  [[nodiscard]] std::uint64_t outstanding() const {
-    return next_claim_id_ - next_verdict_id_;
-  }
-
-  void flush_batch() {
-    if (batch_.fps.empty()) {
-      return;
-    }
-    Session& s = session_;
-    s.out.clear();
-    encode_fp_batch(s.out, batch_);
-    s.ch.send(MsgType::kFpBatch, s.out);
-    sent_batches_.push_back(static_cast<std::uint32_t>(batch_.fps.size()));
-    batch_.fps.clear();
-    batch_.canonicals.clear();
-    batch_.has_canonical = false;
-  }
-
-  // Handles every frame already queued on the socket without blocking.
-  void poll_frames() {
-    Session& s = session_;
-    for (;;) {
-      const int got = s.ch.try_recv(s.in);
-      if (got == 0) {
-        return;
-      }
-      if (got < 0) {
-        throw WireError("coordinator closed the connection");
-      }
-      s.last_heard = Clock::now();
-      if (!handle_control(s, s.in)) {
-        throw WireError("unexpected frame type " +
-                        std::to_string(static_cast<int>(s.in.type)) +
-                        " during a job");
-      }
-    }
-  }
-
-  // Blocks for one frame (any type - control frames are handled in place,
-  // so credits and steal requests are never stalled by dedupe traffic),
-  // honoring the liveness deadline.
-  void drain_one() {
-    Session& s = session_;
-    for (;;) {
-      if (s.hello.heartbeat_interval_ms != 0 &&
-          !s.ch.wait(liveness_tick_ms(s))) {
-        check_liveness(s);
-        continue;
-      }
-      if (!s.ch.recv(s.in)) {
-        throw WireError("coordinator closed the connection (verdict wait)");
-      }
-      s.last_heard = Clock::now();
-      if (!handle_control(s, s.in)) {
-        throw WireError("unexpected frame type " +
-                        std::to_string(static_cast<int>(s.in.type)) +
-                        " while awaiting fp verdicts");
-      }
-      return;
-    }
-  }
-
-  Session& session_;
-  check::StateTable local_;
-  std::size_t hits_ = 0;
-
-  FpBatchMsg batch_;                        // claims not yet flushed
-  std::deque<std::uint32_t> sent_batches_;  // in-flight batch sizes, FIFO
-  std::uint64_t next_claim_id_ = 0;
-  std::uint64_t next_verdict_id_ = 0;
-  std::optional<Spec> spec_;                // the one on-path unverdicted claim
-  std::optional<std::size_t> cancel_floor_;  // prune depths > floor
-};
-
 // Handles one control frame; every frame type a worker can legally receive
 // outside the job handshake.  Returns false for frame types the caller
 // must handle itself.
@@ -403,14 +153,6 @@ bool handle_control(Session& s, const Frame& f) {
     }
     case MsgType::kPong:
       return true;  // liveness bookkeeping happened at recv
-    case MsgType::kFpVerdicts: {
-      if (s.fp_store == nullptr) {
-        return false;  // verdicts with dedupe off: protocol violation
-      }
-      WireReader r = f.reader();
-      s.fp_store->on_verdicts(decode_fp_verdicts(r));
-      return true;
-    }
     case MsgType::kShutdown:
       s.shutdown = true;
       s.abort_job = true;
@@ -422,7 +164,7 @@ bool handle_control(Session& s, const Frame& f) {
 
 void run_job(Session& s, const JobMsg& job,
              const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
-             check::detail::WarmPool& pool, check::StateStore* store) {
+             check::detail::WarmPool& pool, check::StateTable* table) {
   s.job_id = job.id;
   s.live.store(0, std::memory_order_relaxed);
   s.budget.store(job.budget, std::memory_order_relaxed);
@@ -434,13 +176,13 @@ void run_job(Session& s, const JobMsg& job,
   sub.record_traces = s.hello.record_traces;
   sub.warm_worlds = static_cast<std::size_t>(s.hello.warm_worlds);
   sub.max_crashes = static_cast<std::size_t>(s.hello.max_crashes);
-  // A job re-queued after a lost deduped attempt runs with dedupe off (the
-  // lost attempt's claims survive in the shard table and must not prune
-  // the re-run) - the coordinator marks it no_dedupe.
+  // A job re-queued after a failed deduped attempt runs with dedupe off
+  // (the failed attempt's claims stay in its worker's table and must not
+  // prune the re-run) - the coordinator marks it no_dedupe.
   sub.dedupe_states = s.hello.dedupe_states && !job.no_dedupe;
   sub.dedupe_adaptive = s.hello.dedupe_adaptive && !job.no_dedupe;
   sub.por = s.hello.por;
-  sub.table = job.no_dedupe ? nullptr : store;
+  sub.table = job.no_dedupe ? nullptr : table;
   sub.live_executions = &s.live;
 
   check::detail::JobContext ctx;
@@ -488,11 +230,6 @@ void run_job(Session& s, const JobMsg& job,
   auto abort = [&]() -> bool {
     if (probes++ % probe_interval == 0) {
       pump(s);
-      if (s.fp_store != nullptr) {
-        // Claims never sit unflushed longer than one probe interval even
-        // when the DFS stops seeing new states.
-        s.fp_store->flush_partial();
-      }
     }
     const std::uint64_t n = s.live.load(std::memory_order_relaxed);
     if (job.fault_after != 0 && n >= job.fault_after) {
@@ -520,11 +257,6 @@ void run_job(Session& s, const JobMsg& job,
   try {
     check::detail::SubtreeResult result =
         check::detail::explore_job(factory, job.prefix, sub, abort, &ctx);
-    if (s.fp_store != nullptr) {
-      // Every claim gets its verdict before the result frame: fingerprint
-      // traffic never straddles a job boundary.
-      s.fp_store->end_job();
-    }
     JobResultMsg msg;
     msg.id = job.id;
     msg.result = std::move(result);
@@ -537,12 +269,11 @@ void run_job(Session& s, const JobMsg& job,
   } catch (const WireError&) {
     throw;  // the connection itself failed; nothing further to send
   } catch (const std::exception& e) {
-    if (s.fp_store != nullptr) {
-      s.fp_store->end_job();  // throws WireError if the connection is gone
-    }
     JobErrorMsg msg;
     msg.id = job.id;
     msg.message = e.what();
+    msg.fatal = dynamic_cast<const check::StateFingerprintCollision*>(&e) !=
+                nullptr;
     s.out.clear();
     encode_job_error(s.out, msg);
     s.ch.send(MsgType::kJobError, s.out);
@@ -553,7 +284,7 @@ void run_job(Session& s, const JobMsg& job,
 
 // Handshake + serve loop for one (re)connection of a session.  The first
 // connection's hello fixes the session options and builds the factory,
-// warm pool and dedupe store; a reconnect re-handshakes (HelloAck.resume
+// warm pool and dedupe table; a reconnect re-handshakes (HelloAck.resume
 // echoing the prior token) and reuses them all.  Returns true on a clean
 // end: kShutdown, a rejected hello, or - when `eof_is_clean` - EOF while
 // idle.  Throws WireError when the connection is lost.
@@ -562,7 +293,7 @@ bool serve_session(
     const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
     std::function<std::unique_ptr<ExplorableWorld>()>& make,
     std::unique_ptr<check::detail::WarmPool>& pool,
-    std::unique_ptr<RemoteStateStore>& store, bool eof_is_clean) {
+    std::unique_ptr<check::StateTable>& table, bool eof_is_clean) {
   if (!s.ch.recv(s.in) || s.in.type != MsgType::kHello) {
     throw WireError("expected hello");
   }
@@ -574,6 +305,7 @@ bool serve_session(
   }
 
   HelloAckMsg ack;
+  ack.pid = static_cast<std::uint64_t>(::getpid());
   if (s.have_hello) {
     // Reconnect: the coordinator's hello is provisional; answer with the
     // prior session token so the acceptor can route this socket back to
@@ -624,20 +356,18 @@ bool serve_session(
         s.hello.dedupe_states ? 1 : 0, s.hello.por ? 1 : 0,
         static_cast<unsigned long long>(s.hello.max_crashes),
         s.hello.heartbeat_interval_ms);
-    // The warm pool and the dedupe cache persist across jobs (and across
-    // reconnects), like a parallel-explorer worker's do across claims.
+    // The warm pool and the dedupe table persist across jobs (and across
+    // reconnects).  The table holds only states this process walked: it
+    // prunes a later job against the worker's own earlier jobs, never
+    // against another worker's.
     pool = std::make_unique<check::detail::WarmPool>(
         static_cast<std::size_t>(s.hello.warm_worlds));
     if (s.hello.dedupe_states) {
-      store = std::make_unique<RemoteStateStore>(s);
+      table = std::make_unique<check::StateTable>(
+          check::StateTable::Options{.audit = s.hello.dedupe_audit});
     }
   } else {
     s.log->line("worker %u: session resumed", s.hello.worker);
-    if (store != nullptr) {
-      // The in-flight batches died with the old connection; the verdict
-      // pipeline restarts from zero (the local cache survives).
-      store->reset_pipeline();
-    }
   }
 
   while (!s.shutdown) {
@@ -668,7 +398,7 @@ bool serve_session(
       job = decode_job(r);
     }
     s.steal_wanted = false;  // requests for a previous job are stale
-    run_job(s, job, make, *pool, store.get());
+    run_job(s, job, make, *pool, table.get());
   }
   if (s.shutdown) {
     s.log->line("worker %u: shutdown", s.hello.worker);
@@ -692,9 +422,9 @@ void serve_connection(
   }
   std::function<std::unique_ptr<ExplorableWorld>()> make;
   std::unique_ptr<check::detail::WarmPool> pool;
-  std::unique_ptr<RemoteStateStore> store;
+  std::unique_ptr<check::StateTable> table;
   try {
-    serve_session(s, factory, make, pool, store, /*eof_is_clean=*/true);
+    serve_session(s, factory, make, pool, table, /*eof_is_clean=*/true);
   } catch (const std::exception& e) {
     log.line("worker %u: connection error: %s", s.hello.worker, e.what());
   }
@@ -709,7 +439,7 @@ int run_worker(
   s.faults = options.faults;
   std::function<std::unique_ptr<ExplorableWorld>()> make;
   std::unique_ptr<check::detail::WarmPool> pool;
-  std::unique_ptr<RemoteStateStore> store;
+  std::unique_ptr<check::StateTable> table;
 
   try {
     s.ch.adopt(connect_tcp(options.host, options.port,
@@ -727,7 +457,7 @@ int run_worker(
       // EOF while idle is clean only when reconnect is off; with it on, an
       // idle EOF is the coordinator cutting a dead connection and the
       // session should re-dial (the run may still be live).
-      serve_session(s, factory, make, pool, store,
+      serve_session(s, factory, make, pool, table,
                     /*eof_is_clean=*/options.reconnect_window_ms == 0);
       return 0;
     } catch (const std::exception& e) {

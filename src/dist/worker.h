@@ -12,16 +12,16 @@
 // past the timeout as a dead connection.  Run via run_worker (fork mode),
 // a lost connection is not fatal: the worker re-dials the coordinator with
 // jittered backoff, re-handshakes under its prior session token
-// (HelloAck.resume) and keeps serving with its warm pool and dedupe cache
+// (HelloAck.resume) and keeps serving with its warm pool and dedupe table
 // intact; any in-flight job is abandoned (the coordinator re-queues it).
 //
-// With dedupe on, the worker routes first-sightings of a state through the
-// coordinator's sharded fingerprint service asynchronously: claims are
-// batched into kFpBatch frames and the DFS keeps descending speculatively
-// while up to fp_window claims await their packed kFpVerdicts bitmap; a
-// duplicate verdict cancels the speculative subtree (see RemoteStateStore
-// in worker.cpp for the soundness invariant).  A local StateTable caches
-// every sighting, so repeats prune locally without touching the wire.
+// With dedupe on, the worker keeps one StateTable for its session and
+// prunes only against states it walked itself - in this job or an earlier
+// one.  That is sound for the reason the thread engine's shared table is:
+// a failed or lost attempt is re-run with dedupe off over its whole
+// region, so every state it claimed but never walked is walked by the
+// re-run.  Under dedupe_audit the table keeps canonical states, and a
+// fingerprint collision goes back as a fatal kJobError that ends the run.
 #pragma once
 
 #include <cstdint>

@@ -156,6 +156,7 @@ std::vector<WireCase> wire_cases() {
     m.error = "unknown world";
     m.resume = true;
     m.session = 42;
+    m.pid = 4321;
     dist::encode_hello_ack(w, m);
   });
   add("job", MsgType::kJob, [](WireWriter& w) {
@@ -179,7 +180,7 @@ std::vector<WireCase> wire_cases() {
     dist::encode_job_result(w, m);
   });
   add("job_error", MsgType::kJobError, [](WireWriter& w) {
-    dist::encode_job_error(w, {7, "replay diverged"});
+    dist::encode_job_error(w, {7, "replay diverged", true});
   });
   add("live", MsgType::kLive, [](WireWriter& w) {
     dist::encode_live(w, {7, 1234});
@@ -197,33 +198,6 @@ std::vector<WireCase> wire_cases() {
     dist::encode_credit(w, {7, 500, true});
   });
   add("steal_req", MsgType::kStealReq, [](WireWriter&) {});
-  add("fp_insert", MsgType::kFpInsert, [](WireWriter& w) {
-    dist::FpInsertMsg m;
-    m.fp = util::Fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull};
-    m.has_canonical = true;
-    m.canonical = "state text";
-    dist::encode_fp_insert(w, m);
-  });
-  add("fp_reply", MsgType::kFpReply, [](WireWriter& w) {
-    dist::encode_fp_reply(w, {true});
-  });
-  add("fp_batch", MsgType::kFpBatch, [](WireWriter& w) {
-    dist::FpBatchMsg m;
-    m.fps = {util::Fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull},
-             util::Fingerprint{0x1111111111111111ull, 0x2222222222222222ull},
-             util::Fingerprint{0xdeadbeefcafef00dull, 0x0badc0dedeadc0deull}};
-    m.has_canonical = true;
-    m.canonicals = {"state a", "state b", "state c"};
-    dist::encode_fp_batch(w, m);
-  });
-  add("fp_verdicts", MsgType::kFpVerdicts, [](WireWriter& w) {
-    dist::FpVerdictsMsg m;
-    m.resize(11);  // straddles a bitmap byte boundary
-    for (std::uint32_t i = 0; i < 11; ++i) {
-      m.set(i, (i % 3) == 0);
-    }
-    dist::encode_fp_verdicts(w, m);
-  });
   add("shutdown", MsgType::kShutdown, [](WireWriter&) {});
   add("ping", MsgType::kPing, [](WireWriter& w) {
     dist::encode_ping(w, {0xabcdefull});
@@ -292,12 +266,6 @@ TEST(WireTruncation, EveryPayloadPrefixThrowsAtDecode) {
           case MsgType::kLive: (void)dist::decode_live(r); break;
           case MsgType::kDonate: (void)dist::decode_donate(r); break;
           case MsgType::kCredit: (void)dist::decode_credit(r); break;
-          case MsgType::kFpInsert: (void)dist::decode_fp_insert(r); break;
-          case MsgType::kFpReply: (void)dist::decode_fp_reply(r); break;
-          case MsgType::kFpBatch: (void)dist::decode_fp_batch(r); break;
-          case MsgType::kFpVerdicts:
-            (void)dist::decode_fp_verdicts(r);
-            break;
           case MsgType::kPing: (void)dist::decode_ping(r); break;
           case MsgType::kPong: (void)dist::decode_pong(r); break;
           default: throw WireError("empty-payload message");
@@ -351,80 +319,6 @@ TEST(WireFraming, OversizedLengthIsRejectedNotAllocated) {
   header[3] = 0xff;
   header[4] = static_cast<std::uint8_t>(MsgType::kLive);
   EXPECT_EQ(recv_outcome(header), 2);
-}
-
-// --- fingerprint pipeline messages (wire v3) ---------------------------------
-
-TEST(WireFpPipeline, BatchRoundTripsWithAndWithoutCanonicals) {
-  dist::FpBatchMsg m;
-  m.fps = {util::Fingerprint{1, 2}, util::Fingerprint{3, 4},
-           util::Fingerprint{0xffffffffffffffffull, 0}};
-  {
-    WireWriter w;
-    dist::encode_fp_batch(w, m);
-    dist::WireReader r(w.data(), w.size());
-    const dist::FpBatchMsg got = dist::decode_fp_batch(r);
-    EXPECT_EQ(got.fps, m.fps);
-    EXPECT_FALSE(got.has_canonical);
-    EXPECT_TRUE(got.canonicals.empty());
-  }
-  m.has_canonical = true;
-  m.canonicals = {"alpha", "", "gamma"};
-  {
-    WireWriter w;
-    dist::encode_fp_batch(w, m);
-    dist::WireReader r(w.data(), w.size());
-    const dist::FpBatchMsg got = dist::decode_fp_batch(r);
-    EXPECT_EQ(got.fps, m.fps);
-    EXPECT_TRUE(got.has_canonical);
-    EXPECT_EQ(got.canonicals, m.canonicals);
-  }
-}
-
-TEST(WireFpPipeline, VerdictBitmapRoundTripsEveryCountMod8) {
-  for (std::uint32_t n = 1; n <= 17; ++n) {
-    dist::FpVerdictsMsg m;
-    m.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      m.set(i, ((i * 7) % 3) != 0);
-    }
-    WireWriter w;
-    dist::encode_fp_verdicts(w, m);
-    dist::WireReader r(w.data(), w.size());
-    const dist::FpVerdictsMsg got = dist::decode_fp_verdicts(r);
-    ASSERT_EQ(got.count, n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got.was_new(i), m.was_new(i)) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-// A canonical list whose length disagrees with the batch, and a verdict
-// bitmap whose length disagrees with its count, must be rejected on BOTH
-// sides of the wire - a desynced pipeline dies loudly, never misprunes.
-TEST(WireFpPipeline, LengthMismatchesAreRejectedBothWays) {
-  dist::FpBatchMsg batch;
-  batch.fps = {util::Fingerprint{1, 2}, util::Fingerprint{3, 4}};
-  batch.has_canonical = true;
-  batch.canonicals = {"only one"};
-  WireWriter w;
-  EXPECT_THROW(dist::encode_fp_batch(w, batch), WireError);
-
-  dist::FpVerdictsMsg verdicts;
-  verdicts.resize(9);
-  verdicts.bitmap.push_back(0);  // one byte too many for count=9
-  WireWriter w2;
-  EXPECT_THROW(dist::encode_fp_verdicts(w2, verdicts), WireError);
-
-  // Decode side: a well-formed frame whose bitmap was re-counted shorter.
-  dist::FpVerdictsMsg ok;
-  ok.resize(9);
-  WireWriter w3;
-  dist::encode_fp_verdicts(w3, ok);
-  std::vector<std::uint8_t> bytes(w3.data(), w3.data() + w3.size());
-  bytes[0] = 17;  // count LE u32: 17 verdicts cannot fit 2 bitmap bytes
-  dist::WireReader r(bytes.data(), bytes.size());
-  EXPECT_THROW((void)dist::decode_fp_verdicts(r), WireError);
 }
 
 // --- run journal -------------------------------------------------------------
@@ -754,7 +648,7 @@ TEST_F(FaultMatrix, HeartbeatsOffStillMatchesSerial) {
 }
 
 // With dedupe on, a lost attempt re-queues with dedupe OFF: the lost
-// attempt's claims survive in the shard table, so the re-run (and every
+// attempt's claims survive in its worker's table, so the re-run (and every
 // region it donates) walks claim-free and can never be pruned by an
 // orphaned claim.  The run completes with the serial verdict and
 // states_seen stays bounded by the serial distinct-state count.
@@ -778,11 +672,11 @@ TEST_F(FaultMatrix, DedupeLostAttemptRequeuesWithDedupeOff) {
   EXPECT_LE(dist.states_seen, serial_dedupe.states_seen);
 }
 
-// The same drill with the cut landing mid-pipeline: a tiny fp_batch and a
-// worker cut deep enough into the run that kFpBatch windows are in flight
-// when the connection dies.  The re-queue (dedupe-off) must still finish
-// the search with the serial verdict and bounded states_seen - this is the
-// drill that would catch an orphaned speculative claim pruning a re-run.
+// The same drill with the cut landing deeper into the run, after the
+// worker's table holds claims from the lost attempt.  The re-queue
+// (dedupe-off) must still finish the search with the serial verdict and
+// bounded states_seen - this is the drill that would catch an orphaned
+// claim pruning a re-run.
 TEST_F(FaultMatrix, DedupeMidBatchCutRequeuesSoundly) {
   check::ScheduleExploreOptions serial_opt;
   serial_opt.dedupe_states = true;
@@ -793,8 +687,6 @@ TEST_F(FaultMatrix, DedupeMidBatchCutRequeuesSoundly) {
   for (const std::uint64_t cut : {std::uint64_t{5}, std::uint64_t{9}}) {
     DistExploreOptions opt = drill_options();
     opt.base.dedupe_states = true;
-    opt.fp_batch = 2;   // many small batches: the cut lands mid-window
-    opt.fp_window = 4;
     opt.worker_faults.cut_after = cut;
     const auto dist =
         dist::dist_explore_schedules(script_factory({3, 3, 2}), opt);

@@ -22,7 +22,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/check/crash_worlds.h"
@@ -30,6 +32,7 @@
 #include "src/check/explore_merge.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
+#include "src/check/state_table.h"
 #include "src/dist/coordinator.h"
 #include "src/dist/wire.h"
 #include "src/dist/worker.h"
@@ -114,6 +117,49 @@ auto script_factory(std::vector<std::size_t> writes,
   };
 }
 
+// While set, the next verdict a FlakyWorld evaluates in this process throws
+// (once) - a transient job failure.  Fork-mode workers inherit the flag, so
+// each worker process fails once.
+bool g_verdict_throws_once = false;
+
+// ScriptWorld with a transient verdict failure (see above), or with every
+// state hashed to one fingerprint so that dedupe_audit must detect the
+// collision at the second node of any walk.
+class WrappedScriptWorld final : public ExplorableWorld {
+ public:
+  WrappedScriptWorld(std::unique_ptr<ScriptWorld> inner, bool collide)
+      : inner_(std::move(inner)), collide_(collide) {}
+
+  Scheduler& scheduler() override { return inner_->scheduler(); }
+
+  std::optional<std::string> verdict(bool complete) override {
+    if (std::exchange(g_verdict_throws_once, false)) {
+      throw std::runtime_error("transient verdict failure");
+    }
+    return inner_->verdict(complete);
+  }
+
+  void fingerprint_extra(util::StateSink& sink) override {
+    inner_->fingerprint_extra(sink);
+  }
+
+  util::Fingerprint fingerprint() override {
+    return collide_ ? util::Fingerprint{7, 7} : ExplorableWorld::fingerprint();
+  }
+
+ private:
+  std::unique_ptr<ScriptWorld> inner_;
+  bool collide_;
+};
+
+auto wrapped_factory(std::vector<std::size_t> writes,
+                     std::vector<Schedule> planted, bool collide) {
+  return [writes = std::move(writes), planted = std::move(planted), collide] {
+    return std::make_unique<WrappedScriptWorld>(
+        std::make_unique<ScriptWorld>(writes, planted), collide);
+  };
+}
+
 Task<void> reg_script(mem::TypedRegister<int>& r, std::size_t writes) {
   for (std::size_t i = 1; i <= writes; ++i) {
     co_await r.write(static_cast<int>(i));
@@ -191,7 +237,6 @@ TEST(Wire, PrimitiveRoundTrip) {
   w.u32(0xdeadbeefu);
   w.u64(0x0123456789abcdefull);
   w.str(std::string("hello\0world", 11));  // embedded NUL survives
-  w.fingerprint(util::Fingerprint{0x1111222233334444ull, 0x5555666677778888ull});
   const Schedule sched{0, 2, runtime::make_crash_entry(1), 0};
   w.schedule(sched);
 
@@ -201,9 +246,6 @@ TEST(Wire, PrimitiveRoundTrip) {
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
   EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
   EXPECT_EQ(r.str(), std::string("hello\0world", 11));
-  const util::Fingerprint fp = r.fingerprint();
-  EXPECT_EQ(fp.hi, 0x1111222233334444ull);
-  EXPECT_EQ(fp.lo, 0x5555666677778888ull);
   EXPECT_EQ(r.schedule(), sched);
   EXPECT_TRUE(r.done());
   EXPECT_NO_THROW(r.expect_done());
@@ -245,8 +287,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   m.por = true;
   m.live_interval = 99;
   m.probe_interval = 1;
-  m.fp_batch = 7;
-  m.fp_window = 21;
   m.world = "aug-mutant";
   m.f = 2;
   m.m = 3;
@@ -268,8 +308,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   EXPECT_EQ(got.por, m.por);
   EXPECT_EQ(got.live_interval, m.live_interval);
   EXPECT_EQ(got.probe_interval, m.probe_interval);
-  EXPECT_EQ(got.fp_batch, m.fp_batch);
-  EXPECT_EQ(got.fp_window, m.fp_window);
   EXPECT_EQ(got.world, m.world);
   EXPECT_EQ(got.f, m.f);
   EXPECT_EQ(got.m, m.m);
@@ -362,17 +400,20 @@ TEST(Wire, ControlMessagesRoundTrip) {
     dist::HelloAckMsg m;
     m.ok = false;
     m.error = "unknown world";
+    m.pid = 0x12345678u;
     dist::encode_hello_ack(w, m);
     dist::WireReader r(w.data(), w.size());
     const dist::HelloAckMsg got = dist::decode_hello_ack(r);
     r.expect_done();
     EXPECT_EQ(got.ok, m.ok);
     EXPECT_EQ(got.error, m.error);
+    EXPECT_EQ(got.pid, m.pid);
   }
   {
     dist::JobErrorMsg m;
     m.id = 8;
     m.message = "boom";
+    m.fatal = true;
     w.clear();
     dist::encode_job_error(w, m);
     dist::WireReader r(w.data(), w.size());
@@ -380,6 +421,7 @@ TEST(Wire, ControlMessagesRoundTrip) {
     r.expect_done();
     EXPECT_EQ(got.id, m.id);
     EXPECT_EQ(got.message, m.message);
+    EXPECT_EQ(got.fatal, m.fatal);
   }
   {
     dist::LiveMsg m;
@@ -424,30 +466,6 @@ TEST(Wire, ControlMessagesRoundTrip) {
     EXPECT_EQ(got.id, m.id);
     EXPECT_EQ(got.budget, m.budget);
     EXPECT_EQ(got.abort, m.abort);
-  }
-  {
-    dist::FpInsertMsg m;
-    m.fp = util::Fingerprint{1, 2};
-    m.has_canonical = true;
-    m.canonical = "state text";
-    w.clear();
-    dist::encode_fp_insert(w, m);
-    dist::WireReader r(w.data(), w.size());
-    const dist::FpInsertMsg got = dist::decode_fp_insert(r);
-    r.expect_done();
-    EXPECT_EQ(got.fp.hi, m.fp.hi);
-    EXPECT_EQ(got.fp.lo, m.fp.lo);
-    EXPECT_EQ(got.has_canonical, m.has_canonical);
-    EXPECT_EQ(got.canonical, m.canonical);
-  }
-  {
-    dist::FpReplyMsg m;
-    m.was_new = true;
-    w.clear();
-    dist::encode_fp_reply(w, m);
-    dist::WireReader r(w.data(), w.size());
-    EXPECT_EQ(dist::decode_fp_reply(r).was_new, true);
-    r.expect_done();
   }
 }
 
@@ -544,9 +562,9 @@ TEST(DistParity, ProbeIntervalOneBitIdenticalToSerial) {
   expect_same(dist, serial, "probe_interval=1");
   EXPECT_FALSE(dist.error.has_value());
 
-  // And with dedupe on: every-execution pumping drains verdicts at the
-  // fastest possible cadence; the all-distinct world must still prune
-  // nothing and match the undeduped run bit-for-bit.
+  // And with dedupe on: pumping at every execution while the worker
+  // tables fill; the all-distinct world must still prune nothing and match
+  // the undeduped run bit-for-bit.
   DistExploreOptions dopt;
   dopt.workers = 2;
   dopt.base.probe_interval = 1;
@@ -648,23 +666,22 @@ TEST(DistParity, PorCountersDecompositionInvariant) {
   EXPECT_LE(dist.steals, dist.jobs - 1);
 }
 
-// --- sharded fingerprint service --------------------------------------------
+// --- dedupe against worker-local tables --------------------------------------
 
 TEST(DistDedupe, AllStatesDistinctMeansNoPruningAnywhere) {
   // ScriptWorld folds the order log into the fingerprint, so every state is
-  // unique: the sharded service must answer "new" to every insert and the
-  // run must reproduce the undeduped results bit-for-bit.
+  // unique: no worker table ever finds a state it has seen, and the run
+  // must reproduce the undeduped results bit-for-bit.
   auto serial = explore_schedules(script_factory({3, 3, 2}));
   DistExploreOptions opt;
   opt.workers = 2;
   opt.base.dedupe_states = true;
-  opt.fp_shards = 4;
   auto dist = dist::dist_explore_schedules(script_factory({3, 3, 2}), opt);
   expect_same(dist, serial, "dedupe on all-distinct states");
   EXPECT_GT(dist.states_seen, 0u);
 }
 
-TEST(DistDedupe, ShardedServiceKeepsVerdictAndBoundsStates) {
+TEST(DistDedupe, WorkerTablesKeepVerdictAndBoundStates) {
   check::CrashWorldSpec spec;
   spec.world = "aug-bu";
   spec.f = 2;
@@ -682,16 +699,15 @@ TEST(DistDedupe, ShardedServiceKeepsVerdictAndBoundsStates) {
   DistExploreOptions opt;
   opt.base = base;
   opt.workers = 2;
-  opt.fp_shards = 4;
   auto dist = dist::dist_explore_schedules(check::make_crash_world_factory(spec),
                                            opt);
   EXPECT_EQ(dist.violation, serial.violation);
   EXPECT_EQ(dist.exhausted, serial.exhausted);
-  // Claim-then-walk across the shards: never more distinct states than the
-  // serial table records, and never more executions than the undeduped tree.
-  // (Speculative descent can overlap the serial DEDUPED execution count -
-  // work done before a duplicate verdict lands stays counted - but it only
-  // ever prunes relative to the full tree, so the undeduped bound holds.)
+  // No worker records more distinct states than the serial table, and the
+  // run never walks more executions than the undeduped tree.  (A worker
+  // prunes only against its own table, so the deduped execution count can
+  // exceed the serial DEDUPED count - but it only ever prunes relative to
+  // the full tree, so the undeduped bound holds.)
   EXPECT_LE(dist.states_seen, serial.states_seen);
   EXPECT_LE(dist.executions, undeduped.executions);
   EXPECT_FALSE(dist.error.has_value());
@@ -713,6 +729,111 @@ TEST(DistDedupe, AuditModeRunsClean) {
   EXPECT_FALSE(dist.error.has_value());
   EXPECT_TRUE(dist.exhausted);
   EXPECT_FALSE(dist.violation.has_value());
+}
+
+TEST(DistDedupe, OneWorkerIsTheSerialDedupedWalk) {
+  // One worker walks the seed job alone with one table, exactly as the
+  // serial engine does: every counter of the deduped walk must match.
+  check::CrashWorldSpec spec;
+  spec.world = "aug-bu";
+  spec.f = 2;
+  spec.m = 2;
+  for (const std::size_t budget : {std::size_t{6}, std::size_t{5}}) {
+    spec.step_budget = budget;  // 5 starves the protocol: a violation
+    ScheduleExploreOptions base;
+    base.max_crashes = 1;
+    base.dedupe_states = true;
+    auto serial =
+        explore_schedules(check::make_crash_world_factory(spec), base);
+    // Dedupe really prunes on the exhausted instance; the starved one
+    // stops at its first violation.
+    ASSERT_TRUE(serial.subtrees_pruned > 0 || serial.violation.has_value());
+
+    DistExploreOptions opt;
+    opt.base = base;
+    opt.workers = 1;
+    auto dist = dist::dist_explore_schedules(
+        check::make_crash_world_factory(spec), opt);
+    const std::string what = "budget " + std::to_string(budget);
+    EXPECT_FALSE(dist.error.has_value()) << what;
+    expect_same(dist, serial, what);
+    EXPECT_EQ(dist.states_seen, serial.states_seen) << what;
+  }
+}
+
+TEST(DistDedupe, FailedAttemptsClaimsNeverPruneTheRerun) {
+  // writes {2,2}: the leaves in DFS order are 0011, 0101, 0110, ...  The
+  // first verdict (leaf 0011) throws once, after the attempt claimed every
+  // state on its path - including the state after the first step, whose
+  // subtree holds the planted leaf 0101 the attempt never reached.  The
+  // one worker keeps its table across the re-run, so the re-run must walk
+  // with dedupe off to find the violation.
+  const std::vector<Schedule> planted{{0, 1, 0, 1}};
+  ScheduleExploreOptions base;
+  base.dedupe_states = true;
+  auto serial = explore_schedules(script_factory({2, 2}, planted), base);
+  ASSERT_TRUE(serial.violation.has_value());
+
+  DistExploreOptions opt;
+  opt.base = base;
+  opt.workers = 1;
+  opt.steal_requests = false;
+  g_verdict_throws_once = true;  // inherited by the forked worker
+  auto dist = dist::dist_explore_schedules(
+      wrapped_factory({2, 2}, planted, /*collide=*/false), opt);
+  g_verdict_throws_once = false;
+  EXPECT_FALSE(dist.error.has_value());
+  EXPECT_EQ(dist.violation, serial.violation);
+  EXPECT_EQ(dist.witness, serial.witness);
+  EXPECT_TRUE(dist.exhausted);
+}
+
+// --- dedupe_audit collisions fail the run in every engine ---------------------
+
+ScheduleExploreOptions audit_options() {
+  ScheduleExploreOptions base;
+  base.dedupe_states = true;
+  base.dedupe_audit = true;
+  return base;
+}
+
+TEST(AuditCollision, SerialEngineThrows) {
+  EXPECT_THROW((void)explore_schedules(wrapped_factory({3, 3, 2}, {}, true),
+                                       audit_options()),
+               check::StateFingerprintCollision);
+}
+
+TEST(AuditCollision, ThreadEngineFailsTheRun) {
+  // The serial probe settles this 560-leaf tree on its own; with the probe
+  // off the collision surfaces in a pool worker, where a retry with dedupe
+  // off would hide it.
+  for (const std::size_t probe : {std::size_t{1024}, std::size_t{0}}) {
+    ParallelExploreOptions par;
+    par.base = audit_options();
+    par.threads = 2;
+    par.oversubscribe = true;
+    par.serial_probe_executions = probe;
+    auto res = parallel_explore_schedules(
+        wrapped_factory({3, 3, 2}, {}, true), par);
+    ASSERT_TRUE(res.error.has_value()) << "probe " << probe;
+    EXPECT_NE(res.error->find("collision"), std::string::npos)
+        << *res.error;
+    EXPECT_FALSE(res.exhausted) << "probe " << probe;
+  }
+}
+
+TEST(AuditCollision, DistEngineFailsTheRun) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    DistExploreOptions opt;
+    opt.base = audit_options();
+    opt.workers = workers;
+    auto res = dist::dist_explore_schedules(
+        wrapped_factory({3, 3, 2}, {}, true), opt);
+    ASSERT_TRUE(res.error.has_value()) << workers << " worker(s)";
+    EXPECT_NE(res.error->find("collision"), std::string::npos)
+        << *res.error;
+    EXPECT_FALSE(res.exhausted) << workers << " worker(s)";
+  }
 }
 
 // --- worker loss -------------------------------------------------------------
